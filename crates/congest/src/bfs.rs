@@ -14,7 +14,8 @@
 
 use crate::graph::{bits_for, Dist, Graph, NodeId};
 use crate::runtime::{Ctx, MessageSize, Network, NodeProtocol, Run, RunStats, RuntimeError};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A node's local view of a spanning tree: its parent (None at the root)
 /// and its children. Produced by BFS-tree construction, consumed by every
@@ -179,28 +180,79 @@ impl MessageSize for MultiBfsMsg {
     }
 }
 
+/// Pending announcements of one [`MultiBfsProtocol`] node: a min-priority
+/// queue on `(dist, source rank)` with lazy deletion.
+///
+/// Entries are grouped into one bucket per distinct pending distance; a
+/// bucket is a min-heap of source ranks. Buckets are kept sorted by
+/// distance, so the most urgent one is in front. An entry whose source has
+/// since improved is not removed when it goes stale; the protocol skips it
+/// when it is popped. Memory is proportional to the entries held: a bucket
+/// exists only while it holds one.
+#[derive(Debug, Default)]
+struct PendingQueue {
+    buckets: VecDeque<(Dist, BinaryHeap<Reverse<u32>>)>,
+}
+
+impl PendingQueue {
+    fn push(&mut self, dist: Dist, src: u32) {
+        let k = self.buckets.partition_point(|b| b.0 < dist);
+        match self.buckets.get_mut(k) {
+            Some((d, heap)) if *d == dist => heap.push(Reverse(src)),
+            _ => self.buckets.insert(k, (dist, BinaryHeap::from(vec![Reverse(src)]))),
+        }
+    }
+
+    fn peek(&self) -> Option<(Dist, u32)> {
+        let (d, heap) = self.buckets.front()?;
+        heap.peek().map(|&Reverse(src)| (*d, src))
+    }
+
+    fn pop(&mut self) {
+        if let Some((_, heap)) = self.buckets.front_mut() {
+            heap.pop();
+            if heap.is_empty() {
+                self.buckets.pop_front();
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.buckets.is_empty()
+    }
+}
+
 /// Per-node state of the pipelined multi-source BFS ([PRT12; HW12] style:
 /// one announcement per edge per round, smallest distance first).
 #[derive(Debug)]
 pub struct MultiBfsProtocol {
     /// `best[i]` = current best known distance to source `i`.
     best: Vec<Dist>,
-    /// Announcements not yet forwarded, ordered by (dist, source rank).
-    pending: BTreeSet<(Dist, usize)>,
+    /// Announcements not yet forwarded, popped in (dist, source rank)
+    /// order. Each `(dist, src)` is pushed at most once (`best` only
+    /// decreases), and after every round the most urgent entry is live
+    /// (`best[src] == dist`), so the queue is empty iff nothing is left to
+    /// forward.
+    pending: PendingQueue,
 }
 
 impl MultiBfsProtocol {
     /// Instances for all nodes given the list of source node-ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` sources.
     pub fn instances(n: usize, sources: &[NodeId]) -> Vec<Self> {
         let s = sources.len();
+        assert!(u32::try_from(s).is_ok(), "source ranks must fit in 32 bits");
         (0..n)
             .map(|v| {
                 let mut best = vec![Dist::MAX; s];
-                let mut pending = BTreeSet::new();
+                let mut pending = PendingQueue::default();
                 for (i, &src) in sources.iter().enumerate() {
                     if src == v {
                         best[i] = 0;
-                        pending.insert((0, i));
+                        pending.push(0, i as u32);
                     }
                 }
                 MultiBfsProtocol { best, pending }
@@ -221,20 +273,24 @@ impl NodeProtocol for MultiBfsProtocol {
         for (_, msg) in inbox {
             let through = msg.dist + 1;
             if through < self.best[msg.src] {
-                // A stale pending entry for this source (with the old, larger
-                // distance) may remain; it is skipped when popped.
-                self.pending.remove(&(self.best[msg.src], msg.src));
+                // The entry for the old distance, if still queued, goes stale.
                 self.best[msg.src] = through;
-                self.pending.insert((through, msg.src));
+                self.pending.push(through, msg.src as u32);
             }
         }
-        // Forward the most urgent pending announcement, one per round.
-        while let Some(&(d, i)) = self.pending.iter().next() {
-            self.pending.remove(&(d, i));
-            if self.best[i] == d {
-                ctx.broadcast(MultiBfsMsg { src: i, dist: d });
-                break;
+        // Forward the most urgent live announcement, one per round, then
+        // drop stale entries until the most urgent one is live again.
+        let mut forwarded = false;
+        while let Some((dist, src)) = self.pending.peek() {
+            let src = src as usize;
+            if self.best[src] == dist {
+                if forwarded {
+                    break;
+                }
+                ctx.broadcast(MultiBfsMsg { src, dist });
+                forwarded = true;
             }
+            self.pending.pop();
         }
     }
 
@@ -264,10 +320,7 @@ pub struct MultiBfs {
 pub fn multi_source_bfs(net: &Network<'_>, sources: &[NodeId]) -> Result<MultiBfs, RuntimeError> {
     let n = net.graph().n();
     let run: Run<MultiBfsProtocol> = net.run(MultiBfsProtocol::instances(n, sources))?;
-    Ok(MultiBfs {
-        dist: run.nodes.iter().map(|p| p.distances().to_vec()).collect(),
-        stats: run.stats,
-    })
+    Ok(MultiBfs { dist: run.nodes.into_iter().map(|p| p.best).collect(), stats: run.stats })
 }
 
 /// Messages of the eccentricity aggregation: per-source maxima flowing up
@@ -305,49 +358,49 @@ impl MessageSize for EccMsg {
 #[derive(Debug)]
 pub struct EccAggregateProtocol {
     tree: TreeView,
-    /// My own distance to each source, fed in from a completed multi-BFS.
-    my_dist: Vec<Dist>,
-    /// Running subtree max per source.
+    /// Running subtree max per source, starting from this node's own
+    /// distance to each source.
     acc: Vec<Dist>,
     /// Number of children still missing per source index.
-    missing: Vec<usize>,
-    /// Source indices ready to send up, in order.
-    ready_up: BTreeSet<usize>,
-    sent_up: Vec<bool>,
+    missing: Vec<u32>,
+    /// Source indices ready to send up, smallest first. Each index enters
+    /// once: when its last child reports (at once, at a leaf).
+    ready_up: BinaryHeap<Reverse<u32>>,
     /// Final eccentricities (filled at the root, or learned from Down msgs).
     ecc: Vec<Option<Dist>>,
-    /// Down-forwarding queue.
-    down_queue: std::collections::VecDeque<(usize, Dist)>,
-    forwarded_down: Vec<bool>,
+    /// Down-forwarding queue. Each index enters once: when the root
+    /// resolves it, or when the parent's Down arrives.
+    down_queue: VecDeque<(usize, Dist)>,
 }
 
 impl EccAggregateProtocol {
-    /// Instances given each node's tree view and its source distances.
+    /// Instances given each node's tree view and its source distances
+    /// (`dists[v][i] = d(v, source i)`, e.g. a finished
+    /// [`multi_source_bfs`]'s `dist`, which the instances take over).
     ///
     /// # Panics
     ///
-    /// Panics if the per-node vectors disagree in length.
-    pub fn instances(views: &[TreeView], dists: &[Vec<Dist>]) -> Vec<Self> {
+    /// Panics if the per-node vectors disagree in length, or if there are
+    /// more than `u32::MAX` sources.
+    pub fn instances(views: &[TreeView], dists: Vec<Vec<Dist>>) -> Vec<Self> {
         assert_eq!(views.len(), dists.len());
         let s = dists.first().map_or(0, |d| d.len());
+        let s32 = u32::try_from(s).expect("source ranks must fit in 32 bits");
         views
             .iter()
             .zip(dists)
             .map(|(view, my_dist)| {
                 assert_eq!(my_dist.len(), s, "every node needs all source distances");
-                let nc = view.children.len();
-                let ready: BTreeSet<usize> =
-                    if nc == 0 { (0..s).collect() } else { BTreeSet::new() };
+                let nc = u32::try_from(view.children.len()).expect("child count fits in 32 bits");
+                let ready_up =
+                    if nc == 0 { (0..s32).map(Reverse).collect() } else { BinaryHeap::new() };
                 EccAggregateProtocol {
                     tree: view.clone(),
-                    my_dist: my_dist.clone(),
-                    acc: my_dist.clone(),
+                    acc: my_dist,
                     missing: vec![nc; s],
-                    ready_up: ready,
-                    sent_up: vec![false; s],
+                    ready_up,
                     ecc: vec![None; s],
-                    down_queue: std::collections::VecDeque::new(),
-                    forwarded_down: vec![false; s],
+                    down_queue: VecDeque::new(),
                 }
             })
             .collect()
@@ -368,7 +421,6 @@ impl NodeProtocol for EccAggregateProtocol {
     type Msg = EccMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, EccMsg>, inbox: &[(NodeId, EccMsg)]) {
-        let s = self.my_dist.len();
         for (_, msg) in inbox {
             match *msg {
                 EccMsg::Up { src, max } => {
@@ -379,7 +431,7 @@ impl NodeProtocol for EccAggregateProtocol {
                             self.ecc[src] = Some(self.acc[src]);
                             self.down_queue.push_back((src, self.acc[src]));
                         } else {
-                            self.ready_up.insert(src);
+                            self.ready_up.push(Reverse(src as u32));
                         }
                     }
                 }
@@ -391,7 +443,7 @@ impl NodeProtocol for EccAggregateProtocol {
         }
         // Root with no children: resolve everything locally on round 0.
         if self.is_root() && ctx.round() == 0 {
-            for src in 0..s {
+            for src in 0..self.acc.len() {
                 if self.missing[src] == 0 {
                     self.ecc[src] = Some(self.acc[src]);
                     self.down_queue.push_back((src, self.acc[src]));
@@ -400,21 +452,15 @@ impl NodeProtocol for EccAggregateProtocol {
         }
         // Send one Up per round (pipelining: one source index per round).
         if let Some(p) = self.tree.parent {
-            if let Some(&src) = self.ready_up.iter().next() {
-                self.ready_up.remove(&src);
-                if !self.sent_up[src] {
-                    self.sent_up[src] = true;
-                    ctx.send(p, EccMsg::Up { src, max: self.acc[src] });
-                }
+            if let Some(Reverse(src)) = self.ready_up.pop() {
+                let src = src as usize;
+                ctx.send(p, EccMsg::Up { src, max: self.acc[src] });
             }
         }
         // Forward one Down per round to all children.
         if let Some((src, ecc)) = self.down_queue.pop_front() {
-            if !self.forwarded_down[src] {
-                self.forwarded_down[src] = true;
-                for &c in &self.tree.children.clone() {
-                    ctx.send(c, EccMsg::Down { src, ecc });
-                }
+            for &c in &self.tree.children {
+                ctx.send(c, EccMsg::Down { src, ecc });
             }
         }
     }
@@ -439,8 +485,7 @@ pub fn source_eccentricities(
     sources: &[NodeId],
 ) -> Result<(Vec<Dist>, RunStats), RuntimeError> {
     let mbfs = multi_source_bfs(net, sources)?;
-    let views: Vec<TreeView> = tree.views.clone();
-    let run = net.run(EccAggregateProtocol::instances(&views, &mbfs.dist))?;
+    let run = net.run(EccAggregateProtocol::instances(&tree.views, mbfs.dist))?;
     let root_ecc: Vec<Dist> = run.nodes[tree.root]
         .eccentricities()
         .iter()

@@ -269,22 +269,88 @@ impl Graph {
         Some(ecc)
     }
 
-    /// All eccentricities, or `None` if disconnected. `O(n(n + m))`.
+    /// All eccentricities, or `None` if disconnected.
+    ///
+    /// Centralized reference, run as bit-parallel BFS: one pass serves 64
+    /// sources, and node `v` keeps a `u64` whose bit `j` says whether source
+    /// `j` of the batch has reached it. Each level scans only the neighbors
+    /// of the previous level's frontier, so a pass scans `v`'s neighbors
+    /// once per distinct distance from `v` to the batch's sources: at most
+    /// `min(64, D + 1)` times. The whole call costs
+    /// `O(⌈n/64⌉ · min(64, D + 1) · (n + m))`: never more than `n` scalar
+    /// BFS runs, and about `64/(D + 1)` times less on small-diameter graphs.
     pub fn eccentricities(&self) -> Option<Vec<Dist>> {
-        (0..self.n).map(|v| self.eccentricity(v)).collect()
+        let n = self.n;
+        let mut ecc = vec![0; n];
+        // Bit j of each word stands for source `base + j` of the pass:
+        // `seen[v]` — the sources that have reached v; `front[v]` — those
+        // that reached v at the current level (read only for frontier
+        // nodes); `reach[v]` — those reaching v at the next level.
+        let mut seen = vec![0u64; n];
+        let mut front = vec![0u64; n];
+        let mut reach = vec![0u64; n];
+        let mut frontier = Vec::new();
+        let mut next = Vec::new();
+        for base in (0..n).step_by(64) {
+            let width = (n - base).min(64);
+            seen.fill(0);
+            frontier.clear();
+            for j in 0..width {
+                seen[base + j] = 1 << j;
+                front[base + j] = 1 << j;
+                frontier.push(base + j);
+            }
+            let mut level = 0;
+            while !frontier.is_empty() {
+                level += 1;
+                for &u in &frontier {
+                    let bits = front[u];
+                    for &w in self.neighbors(u) {
+                        let new = bits & !seen[w];
+                        if new != 0 {
+                            if reach[w] == 0 {
+                                next.push(w);
+                            }
+                            reach[w] |= new;
+                            seen[w] |= new;
+                        }
+                    }
+                }
+                // A source's eccentricity is the last level it reaches a node.
+                let mut hit = 0;
+                for &w in &next {
+                    hit |= reach[w];
+                    front[w] = std::mem::take(&mut reach[w]);
+                }
+                while hit != 0 {
+                    ecc[base + hit.trailing_zeros() as usize] = level;
+                    hit &= hit - 1;
+                }
+                std::mem::swap(&mut frontier, &mut next);
+                next.clear();
+            }
+            let all = u64::MAX >> (64 - width);
+            if seen.iter().any(|&s| s != all) {
+                return None;
+            }
+        }
+        Some(ecc)
     }
 
-    /// Diameter (max eccentricity), or `None` if disconnected.
+    /// Diameter (max eccentricity), or `None` if disconnected. Costs one
+    /// [`eccentricities`](Self::eccentricities) call.
     pub fn diameter(&self) -> Option<Dist> {
         Some(self.eccentricities()?.into_iter().max().unwrap_or(0))
     }
 
-    /// Radius (min eccentricity), or `None` if disconnected.
+    /// Radius (min eccentricity), or `None` if disconnected. Costs one
+    /// [`eccentricities`](Self::eccentricities) call.
     pub fn radius(&self) -> Option<Dist> {
         Some(self.eccentricities()?.into_iter().min().unwrap_or(0))
     }
 
-    /// Average eccentricity, or `None` if disconnected.
+    /// Average eccentricity, or `None` if disconnected. Costs one
+    /// [`eccentricities`](Self::eccentricities) call.
     pub fn average_eccentricity(&self) -> Option<f64> {
         let e = self.eccentricities()?;
         Some(e.iter().map(|&x| x as f64).sum::<f64>() / self.n as f64)

@@ -265,7 +265,7 @@ impl NodeProtocol for BroadcastRegisterProtocol {
         if self.may_send() && !self.tree.children.is_empty() {
             let len = self.chunk_bits.min(self.have - self.sent);
             let payload = self.reg.get_bits(self.sent, len);
-            for &c in &self.tree.children.clone() {
+            for &c in &self.tree.children {
                 ctx.send(c, Chunk { nbits: len, payload });
             }
             self.sent += len;
@@ -383,7 +383,7 @@ pub fn distribute_register(
 ) -> Result<(Vec<Register>, RunStats), RuntimeError> {
     let chunk = (net.cap_bits().saturating_sub(1)).clamp(1, 64);
     let run = net.run(BroadcastRegisterProtocol::instances(views, reg, chunk, schedule))?;
-    Ok((run.nodes.iter().map(|p| p.register().clone()).collect(), run.stats))
+    Ok((run.nodes.into_iter().map(|p| p.reg).collect(), run.stats))
 }
 
 /// Driver for Lemma 7 (reverse direction): uncompute all non-root copies.
@@ -401,9 +401,9 @@ pub fn gather_register(
 ) -> Result<(Register, RunStats), RuntimeError> {
     let chunk = (net.cap_bits().saturating_sub(1)).clamp(1, 64);
     let root = views.iter().position(|v| v.parent.is_none()).expect("tree has a root");
-    let run = net.run(GatherRegisterProtocol::instances(views, regs, chunk))?;
+    let mut run = net.run(GatherRegisterProtocol::instances(views, regs, chunk))?;
     debug_assert!(run.nodes.iter().all(|p| !p.mismatch()), "uncompute mismatch");
-    Ok((run.nodes[root].register().clone(), run.stats))
+    Ok((run.nodes.swap_remove(root).reg, run.stats))
 }
 
 /// The queue used by pipelined fan-in/fan-out protocols; exported for reuse.

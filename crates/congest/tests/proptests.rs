@@ -5,7 +5,7 @@
 use congest::aggregate::{aggregate_batch, CommOp};
 use congest::bfs::{build_bfs_tree, multi_source_bfs, source_eccentricities, validate_bfs_tree};
 use congest::clustering::{cluster, validate};
-use congest::generators::{random_connected_m, random_relabel, random_tree};
+use congest::generators::{cycle, path, random_connected_m, random_relabel, random_tree};
 use congest::runtime::Network;
 use congest::tree_comm::{distribute_register, gather_register, Register, Schedule};
 use proptest::prelude::*;
@@ -15,6 +15,46 @@ fn arb_graph() -> impl Strategy<Value = congest::Graph> {
         let extra = n / 3;
         Just(random_connected_m(n, n - 1 + extra, seed))
     })
+}
+
+/// A graph whose size straddles the 64-source batches of
+/// `Graph::eccentricities`: random and connected, or with one node cut off.
+fn arb_batch_graph() -> impl Strategy<Value = congest::Graph> {
+    (0usize..5, 0usize..3, 0u64..500, any::<bool>()).prop_map(
+        |(size, density, seed, disconnect)| {
+            let n: usize = [1, 63, 64, 65, 129][size];
+            let extra = [0, n / 4, 2 * n][density].min((n - 1) * n.saturating_sub(2) / 2);
+            let g = random_connected_m(n, n - 1 + extra, seed);
+            if !disconnect || n == 1 {
+                return g;
+            }
+            let cut = seed as usize % n;
+            let kept = g.edges().iter().copied().filter(|&(u, v)| u != cut && v != cut);
+            congest::Graph::from_edges(n, kept).unwrap()
+        },
+    )
+}
+
+/// The per-source reference for `Graph::eccentricities`.
+fn eccentricities_by_source(g: &congest::Graph) -> Option<Vec<congest::graph::Dist>> {
+    (0..g.n()).map(|v| g.eccentricity(v)).collect()
+}
+
+#[test]
+fn bit_parallel_eccentricities_on_high_diameter_graphs() {
+    for n in [1, 63, 64, 65, 129] {
+        let mut graphs = vec![path(n)];
+        if n >= 3 {
+            graphs.push(cycle(n));
+            // Two paths side by side: disconnected.
+            let half = n / 2;
+            let edges = (0..n - 1).filter(|&i| i + 1 != half).map(|i| (i, i + 1));
+            graphs.push(congest::Graph::from_edges(n, edges).unwrap());
+        }
+        for g in graphs {
+            assert_eq!(g.eccentricities(), eccentricities_by_source(&g), "n = {n}");
+        }
+    }
 }
 
 proptest! {
@@ -40,6 +80,13 @@ proptest! {
         prop_assert_eq!(g.radius(), h.radius());
         prop_assert_eq!(g.girth(), h.girth());
         prop_assert_eq!(g.m(), h.m());
+    }
+
+    #[test]
+    fn bit_parallel_eccentricities_match_per_source_bfs(g in arb_batch_graph()) {
+        let want = eccentricities_by_source(&g);
+        prop_assert_eq!(want.is_some(), g.is_connected());
+        prop_assert_eq!(g.eccentricities(), want);
     }
 
     #[test]
