@@ -5,21 +5,25 @@
 //! ```
 //!
 //! `--list` prints the experiment catalog (id + one-line description) and
-//! exits. Unknown experiment ids are rejected before anything runs, with a
-//! nonzero exit status.
+//! exits. Unknown experiment ids, and `--json`/`--telemetry` without a
+//! value, are rejected before anything runs, with exit status 2.
 //!
 //! `--check` additionally runs the model-conformance sweep — the
 //! differential grid of `{Sequential, Parallel} × {fault-free, faulted}`
 //! audited runs — after the experiments, and exits nonzero if any cell
 //! reports a violation, an engine divergence, or an incorrect outcome.
 //!
-//! `--telemetry DIR` re-runs one representative workload per selected
-//! experiment under a `congest::telemetry::Collector` and writes
-//! `DIR/<id>.trace.jsonl` (Chrome trace-event / Perfetto-loadable, round
-//! index timebase) and `DIR/<id>.metrics.json` (counters, histograms,
-//! span rollup, per-edge loads).
+//! Every experiment records the runs behind its table into a
+//! `congest::telemetry::Collector`. `--telemetry DIR` writes that
+//! collector for each selected experiment as `DIR/<id>.trace.jsonl`
+//! (Chrome trace-event / Perfetto-loadable, round index timebase) and
+//! `DIR/<id>.metrics.json` (counters, histograms, span rollup, per-edge
+//! loads), so trace, metrics, and table come from the same execution.
 
-use dqc_bench::{catalog, run_one, Scale};
+use dqc_bench::{run_one, Scale, CATALOG};
+
+const USAGE: &str =
+    "usage: reproduce [--list] [--quick] [--check] [--json FILE] [--telemetry DIR] [all | e1 .. e19]...";
 
 fn conformance_sweep() -> bool {
     let cells = dqc_bench::harness::differential_grid(19);
@@ -41,6 +45,18 @@ fn conformance_sweep() -> bool {
     ok
 }
 
+/// The value following `flag`; a missing one (or another flag in its
+/// place) prints the usage line and exits 2.
+fn value_of(flag: &str, it: &mut impl Iterator<Item = String>) -> String {
+    match it.next() {
+        Some(v) if !v.starts_with("--") => v,
+        _ => {
+            eprintln!("{flag} needs a value\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
@@ -52,31 +68,28 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => scale = Scale::Quick,
-            "--json" => json_path = it.next(),
-            "--telemetry" => telemetry_dir = it.next(),
+            "--json" => json_path = Some(value_of("--json", &mut it)),
+            "--telemetry" => telemetry_dir = Some(value_of("--telemetry", &mut it)),
             "--check" => check = true,
             "--list" => {
                 println!("experiments:");
-                for (id, what) in catalog() {
+                for (id, what, _) in CATALOG {
                     println!("  {id:<4} {what}");
                 }
                 return;
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: reproduce [--list] [--quick] [--check] [--json FILE] \
-                     [--telemetry DIR] [all | e1 .. e19]..."
-                );
+                eprintln!("{USAGE}");
                 return;
             }
             other => wanted.push(other.to_ascii_lowercase()),
         }
     }
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = catalog().iter().map(|(id, _)| id.to_string()).collect();
+        wanted = CATALOG.iter().map(|(id, _, _)| id.to_string()).collect();
     }
     let unknown: Vec<&String> =
-        wanted.iter().filter(|w| !catalog().iter().any(|(id, _)| id == w)).collect();
+        wanted.iter().filter(|w| !CATALOG.iter().any(|(id, _, _)| id == w)).collect();
     if !unknown.is_empty() {
         for id in unknown {
             eprintln!("unknown experiment: {id}");
@@ -84,35 +97,26 @@ fn main() {
         eprintln!("run `reproduce --list` for the catalog");
         std::process::exit(2);
     }
+    if let Some(dir) = &telemetry_dir {
+        std::fs::create_dir_all(dir).expect("create telemetry dir");
+    }
     let mut tables = Vec::new();
     for id in &wanted {
-        let t = run_one(id, scale).expect("catalog ids all resolve");
+        let (t, col) = run_one(id, scale).expect("catalog ids all resolve");
         println!("{}", t.render());
         tables.push(t);
-    }
-    if let Some(path) = json_path {
-        let json = dqc_bench::table::tables_to_json(&tables);
-        std::fs::write(&path, json).expect("write json");
-        eprintln!("wrote {path}");
-    }
-    if let Some(dir) = telemetry_dir {
-        std::fs::create_dir_all(&dir).expect("create telemetry dir");
-        let mut uncollectable = false;
-        for id in &wanted {
-            let Some(col) = dqc_bench::telemetry::collect(id, scale) else {
-                eprintln!("no telemetry collector for experiment: {id}");
-                uncollectable = true;
-                continue;
-            };
+        if let Some(dir) = &telemetry_dir {
             let trace = format!("{dir}/{id}.trace.jsonl");
             let metrics = format!("{dir}/{id}.metrics.json");
             std::fs::write(&trace, col.to_chrome_jsonl()).expect("write trace");
             std::fs::write(&metrics, col.metrics_json()).expect("write metrics");
             eprintln!("wrote {trace} + {metrics}");
         }
-        if uncollectable {
-            std::process::exit(2);
-        }
+    }
+    if let Some(path) = json_path {
+        let json = dqc_bench::table::tables_to_json(&tables);
+        std::fs::write(&path, json).expect("write json");
+        eprintln!("wrote {path}");
     }
     if check && !conformance_sweep() {
         std::process::exit(1);

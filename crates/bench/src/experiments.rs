@@ -5,6 +5,20 @@
 //! executing protocols on the `congest` engine (or batch ledgers of the
 //! `pquery` emulations) and whose *theory* columns are the paper's bounds;
 //! notes record log-log scaling fits where a power law is claimed.
+//!
+//! [`CATALOG`] is the one definition of the suite. Each experiment also
+//! records the work behind its table into the [`Collector`] it is given,
+//! one span per table cell (named `<cell>/<run>`, e.g.
+//! `n=1600/quantum-diameter`): driver [`RoundLedger`]s and [`RunStats`]
+//! are folded in with [`Collector::absorb_ledger`] and
+//! [`Collector::record_run`], E19 attaches the collector to its engine
+//! runs, the `pquery` experiments fold their sources' batch ledgers in
+//! cell order, and the statevector experiments add [`qsim::metrics`]
+//! counters. `reproduce --telemetry` exports that collector, so trace,
+//! metrics, and table come from one execution.
+//!
+//! [`RoundLedger`]: congest::runtime::RoundLedger
+//! [`RunStats`]: congest::runtime::RunStats
 
 use crate::harness::{cell_seed, parallel_cells};
 use crate::table::{loglog_slope, Table};
@@ -13,6 +27,7 @@ use congest::generators::{
 };
 use congest::graph::Graph;
 use congest::runtime::Network;
+use congest::telemetry::Collector;
 use congest::tree_comm::{distribute_register, Register, Schedule};
 use dqc_core::amplification::{amplitude_amplification, PreparationSubroutine};
 use dqc_core::cycles::{
@@ -62,6 +77,55 @@ fn sized_graph(n: usize, seed: u64) -> Graph {
     random_connected_m(n, n + n / 2, seed)
 }
 
+/// The `pquery` batch ledger of one parallel cell's [`VecSource`]s, handed
+/// back to the coordinator with the cell's measurement so no [`Collector`]
+/// crosses a thread.
+#[derive(Debug, Default)]
+struct SourceTally {
+    batches: u64,
+    queries: u64,
+    idle_slots: u64,
+    widths: Vec<u32>,
+}
+
+impl SourceTally {
+    fn add(&mut self, src: &VecSource) {
+        self.batches += src.batches() as u64;
+        self.queries += src.queries();
+        self.idle_slots += src.idle_slots();
+        self.widths.extend_from_slice(src.batch_widths());
+    }
+
+    /// Fold into `col`: batch/query/idle counters plus the batch-width
+    /// histogram.
+    fn fold(&self, col: &mut Collector) {
+        col.add("pquery.batches", self.batches);
+        col.add("pquery.queries", self.queries);
+        col.add("pquery.idle_slots", self.idle_slots);
+        for &w in &self.widths {
+            col.observe("pquery.batch_width", w as u64);
+        }
+    }
+}
+
+/// Run `work` with [`qsim::metrics`] enabled and fold the kernel/fusion
+/// counters it produced into `col`. The counters are process-global, so
+/// brackets are serialized.
+fn with_qsim_metrics<T>(col: &mut Collector, work: impl FnOnce() -> T) -> T {
+    static METRICS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = METRICS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    qsim::metrics::reset();
+    qsim::metrics::enable(true);
+    let out = work();
+    qsim::metrics::enable(false);
+    for (name, v) in qsim::metrics::snapshot() {
+        if v > 0 {
+            col.add(name, v);
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------
 // E1 — Lemma 7: pipelined state distribution.
 // ---------------------------------------------------------------------
@@ -69,7 +133,7 @@ fn sized_graph(n: usize, seed: u64) -> Graph {
 /// E1: distribute a `q`-qubit register over a depth-`D` path; pipelining
 /// must cost `O(D + q/log n)` while store-and-forward costs
 /// `O(D·q/log n)`.
-pub fn e1_distribute(scale: Scale) -> Table {
+pub fn e1_distribute(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E1",
         "Lemma 7: register distribution with pipelining",
@@ -89,6 +153,7 @@ pub fn e1_distribute(scale: Scale) -> Table {
         let g = path(d + 1);
         let net = Network::new(&g);
         let tree = congest::bfs::build_bfs_tree(&net, 0).expect("path is connected");
+        col.record_run(&format!("D={d}/bfs-tree"), &tree.stats);
         for &q in qs {
             let reg = Register::zeros(q);
             let (_, pipe) =
@@ -96,6 +161,8 @@ pub fn e1_distribute(scale: Scale) -> Table {
                     .expect("distribute");
             let (_, naive) = distribute_register(&net, &tree.views, reg, Schedule::StoreAndForward)
                 .expect("distribute");
+            col.record_run(&format!("D={d}/q={q}/pipelined"), &pipe);
+            col.record_run(&format!("D={d}/q={q}/naive"), &naive);
             let chunk = net.cap_bits() - 1;
             let theory = d as f64 + q as f64 / chunk as f64;
             fits.push((theory, pipe.rounds as f64));
@@ -119,7 +186,7 @@ pub fn e1_distribute(scale: Scale) -> Table {
 // ---------------------------------------------------------------------
 
 /// E2: measured parallel-Grover batch counts vs `⌈√(k/(tp))⌉`.
-pub fn e2_parallel_grover(scale: Scale) -> Table {
+pub fn e2_parallel_grover(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E2",
         "Lemma 2: parallel Grover search",
@@ -146,6 +213,7 @@ pub fn e2_parallel_grover(scale: Scale) -> Table {
         let mut rng = StdRng::seed_from_u64(cell_seed(2, idx));
         let mut sum_one = 0usize;
         let mut sum_all = 0usize;
+        let mut tally = SourceTally::default();
         for r in 0..runs {
             let mut data = vec![0u64; k];
             for j in 0..tm {
@@ -153,13 +221,16 @@ pub fn e2_parallel_grover(scale: Scale) -> Table {
             }
             let mut src = VecSource::new(data.clone(), p);
             sum_one += pquery::grover::search_one(&mut src, &|v| v != 0, &mut rng).batches;
+            tally.add(&src);
             let mut src = VecSource::new(data, p);
             sum_all += pquery::grover::search_all(&mut src, &|v| v != 0, &mut rng).1;
+            tally.add(&src);
         }
-        (sum_one as f64 / runs as f64, sum_all as f64 / runs as f64)
+        (sum_one as f64 / runs as f64, sum_all as f64 / runs as f64, tally)
     });
     let mut fits = Vec::new();
-    for (&(k, tm, p), &(mone, mall)) in cells.iter().zip(&measured) {
+    for (&(k, tm, p), &(mone, mall, ref tally)) in cells.iter().zip(&measured) {
+        tally.fold(col);
         let th_one = pquery::complexity::grover_one_batches(k, tm, p);
         let th_all = pquery::complexity::grover_all_batches(k, tm, p);
         fits.push((th_one, mone));
@@ -185,7 +256,7 @@ pub fn e2_parallel_grover(scale: Scale) -> Table {
 // ---------------------------------------------------------------------
 
 /// E3: measured minimum-finding batches vs `⌈√(k/(ℓp))⌉`.
-pub fn e3_parallel_minimum(scale: Scale) -> Table {
+pub fn e3_parallel_minimum(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E3",
         "Lemma 3: parallel minimum finding (Dürr–Høyer)",
@@ -212,6 +283,7 @@ pub fn e3_parallel_minimum(scale: Scale) -> Table {
         let mut rng = StdRng::seed_from_u64(cell_seed(3, idx));
         let mut sum = 0usize;
         let mut correct = 0usize;
+        let mut tally = SourceTally::default();
         for r in 0..runs {
             let mut data: Vec<u64> =
                 (0..k).map(|i| 100 + ((i as u64 * 48271 + r as u64) % 100_000)).collect();
@@ -227,11 +299,13 @@ pub fn e3_parallel_minimum(scale: Scale) -> Table {
             );
             sum += out.batches;
             correct += (out.value == 1) as usize;
+            tally.add(&src);
         }
-        (sum as f64 / runs as f64, correct)
+        (sum as f64 / runs as f64, correct, tally)
     });
     let mut fits = Vec::new();
-    for (&(k, p, ell), &(meas, correct)) in cells.iter().zip(&measured) {
+    for (&(k, p, ell), &(meas, correct, ref tally)) in cells.iter().zip(&measured) {
+        tally.fold(col);
         let theory = pquery::complexity::minimum_multiplicity_batches(k, ell, p);
         fits.push((theory, meas));
         t.row(vec![
@@ -255,7 +329,7 @@ pub fn e3_parallel_minimum(scale: Scale) -> Table {
 // ---------------------------------------------------------------------
 
 /// E4: measured distinctness batches vs `⌈(k/p)^{2/3}⌉`.
-pub fn e4_parallel_distinctness(scale: Scale) -> Table {
+pub fn e4_parallel_distinctness(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E4",
         "Lemma 5: parallel element distinctness (Johnson walk)",
@@ -280,6 +354,7 @@ pub fn e4_parallel_distinctness(scale: Scale) -> Table {
         let mut rng = StdRng::seed_from_u64(cell_seed(4, idx));
         let mut sum = 0usize;
         let mut found = 0usize;
+        let mut tally = SourceTally::default();
         for r in 0..runs {
             let mut data: Vec<u64> = (0..k as u64).map(|i| 10_000 + i).collect();
             let (i, j) = ((r * 37) % k, (r * 151 + k / 3) % k);
@@ -290,11 +365,13 @@ pub fn e4_parallel_distinctness(scale: Scale) -> Table {
             let out = pquery::distinctness::element_distinctness(&mut src, &mut rng);
             sum += out.batches;
             found += out.pair.is_some() as usize;
+            tally.add(&src);
         }
-        (sum as f64 / runs as f64, found)
+        (sum as f64 / runs as f64, found, tally)
     });
     let mut fits = Vec::new();
-    for (&(k, p), &(meas, found)) in cells.iter().zip(&measured) {
+    for (&(k, p), &(meas, found, ref tally)) in cells.iter().zip(&measured) {
+        tally.fold(col);
         let theory = pquery::complexity::distinctness_batches(k, p);
         fits.push((theory, meas));
         t.row(vec![
@@ -317,7 +394,7 @@ pub fn e4_parallel_distinctness(scale: Scale) -> Table {
 // ---------------------------------------------------------------------
 
 /// E5: mean-estimation batches vs `Õ(σ/(√p·ε))`, and the estimate error.
-pub fn e5_parallel_mean(scale: Scale) -> Table {
+pub fn e5_parallel_mean(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E5",
         "Lemma 6: parallel mean estimation",
@@ -345,15 +422,18 @@ pub fn e5_parallel_mean(scale: Scale) -> Table {
         let mut rng = StdRng::seed_from_u64(cell_seed(5, idx));
         let mut sum = 0usize;
         let mut worst: f64 = 0.0;
+        let mut tally = SourceTally::default();
         for _ in 0..runs {
             let mut src = VecSource::new(data.clone(), p);
             let out = pquery::mean::estimate_mean(&mut src, sigma, eps, &mut rng);
             sum += out.batches;
             worst = worst.max((out.estimate - mu).abs() / eps);
+            tally.add(&src);
         }
-        (sum as f64 / runs as f64, worst)
+        (sum as f64 / runs as f64, worst, tally)
     });
-    for (&(eps, p), &(meas, worst)) in cells.iter().zip(&measured) {
+    for (&(eps, p), &(meas, worst, ref tally)) in cells.iter().zip(&measured) {
+        tally.fold(col);
         t.row(vec![
             fmt_f(eps),
             p.to_string(),
@@ -372,7 +452,7 @@ pub fn e5_parallel_mean(scale: Scale) -> Table {
 
 /// E6: quantum vs classical meeting-scheduling rounds on a dumbbell of
 /// hub distance `D`, sweeping `k`.
-pub fn e6_meeting_scheduling(scale: Scale) -> Table {
+pub fn e6_meeting_scheduling(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E6",
         "Meeting scheduling (Lemmas 10–11)",
@@ -393,6 +473,8 @@ pub fn e6_meeting_scheduling(scale: Scale) -> Table {
         let inst = MeetingInstance::random(n, k, 0.3, k as u64);
         let q = quantum_meeting_scheduling(&net, &inst, 7).expect("quantum run");
         let c = classical_meeting_scheduling(&net, &inst, 7).expect("classical run");
+        col.absorb_ledger(&format!("k={k}/quantum-meeting-scheduling"), &q.ledger);
+        col.absorb_ledger(&format!("k={k}/classical-meeting-scheduling"), &c.ledger);
         let ub = dqc_core::scheduling::quantum_upper_bound(k, d, n);
         let lb = dqc_core::scheduling::classical_lower_bound(k, d, n);
         fits.push((k as f64, q.rounds as f64));
@@ -419,7 +501,7 @@ pub fn e6_meeting_scheduling(scale: Scale) -> Table {
 
 /// E7: quantum vs classical distributed-vector distinctness, sweeping `k`;
 /// plus the between-nodes variant on a double star.
-pub fn e7_distinctness(scale: Scale) -> Table {
+pub fn e7_distinctness(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E7",
         "Element distinctness (Lemmas 12–15)",
@@ -439,6 +521,8 @@ pub fn e7_distinctness(scale: Scale) -> Table {
         let inst = DistinctnessInstance::random(n, k, Some((k / 5, 4 * k / 5)), k as u64);
         let q = quantum_distinctness(&net, &inst, 11).expect("quantum");
         let c = classical_distinctness(&net, &inst, 11).expect("classical");
+        col.absorb_ledger(&format!("k={k}/quantum-distinctness"), &q.ledger);
+        col.absorb_ledger(&format!("k={k}/classical-distinctness"), &c.ledger);
         let ub = dqc_core::distinctness::quantum_upper_bound(k, d, n, inst.n_bound);
         fits.push((k as f64, q.rounds as f64));
         let pair_ok = match q.pair {
@@ -461,6 +545,7 @@ pub fn e7_distinctness(scale: Scale) -> Table {
     let mut values: Vec<u64> = (0..g.n() as u64).map(|v| 500 + v).collect();
     values[20] = values[3];
     let q = quantum_distinctness_between_nodes(&net, &values, 4).expect("between nodes");
+    col.absorb_ledger("between-nodes/quantum-distinctness", &q.ledger);
     t.row(vec![
         "between-nodes".into(),
         g.n().to_string(),
@@ -483,7 +568,7 @@ pub fn e7_distinctness(scale: Scale) -> Table {
 
 /// E8: exact quantum vs exact classical Deutsch–Jozsa rounds, sweeping `k`
 /// — the exponential separation.
-pub fn e8_deutsch_jozsa(scale: Scale) -> Table {
+pub fn e8_deutsch_jozsa(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E8",
         "Distributed Deutsch–Jozsa (Theorems 17–18)",
@@ -503,6 +588,8 @@ pub fn e8_deutsch_jozsa(scale: Scale) -> Table {
         let inst = DjInstance::random(n, k, ans, k as u64);
         let q = quantum_dj(&net, &inst, 5).expect("network").expect("promise");
         let c = classical_exact_dj(&net, &inst, 5).expect("classical");
+        col.absorb_ledger(&format!("k={k}/quantum-dj"), &q.ledger);
+        col.absorb_ledger(&format!("k={k}/classical-dj"), &c.ledger);
         t.row(vec![
             k.to_string(),
             q.rounds.to_string(),
@@ -521,7 +608,7 @@ pub fn e8_deutsch_jozsa(scale: Scale) -> Table {
 
 /// E9: quantum `O(√(nD))` diameter/radius vs the classical `Θ(n)`
 /// baseline, sweeping `n`.
-pub fn e9_diameter_radius(scale: Scale) -> Table {
+pub fn e9_diameter_radius(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E9",
         "Diameter & radius (Lemmas 20–21)",
@@ -541,7 +628,10 @@ pub fn e9_diameter_radius(scale: Scale) -> Table {
         let d = g.diameter().unwrap();
         let q = quantum_diameter(&net, 9).expect("quantum diameter");
         let r = quantum_radius(&net, 9).expect("quantum radius");
-        let (cd, cr, c_rounds, _) = classical_diameter_radius(&net, 9).expect("classical");
+        let (cd, cr, c_rounds, c_ledger) = classical_diameter_radius(&net, 9).expect("classical");
+        col.absorb_ledger(&format!("n={n}/quantum-diameter"), &q.ledger);
+        col.absorb_ledger(&format!("n={n}/quantum-radius"), &r.ledger);
+        col.absorb_ledger(&format!("n={n}/classical-diameter-radius"), &c_ledger);
         assert_eq!(cd, d);
         assert_eq!(Some(cr), g.radius());
         let ub = dqc_core::eccentricity::quantum_upper_bound(n, d as usize);
@@ -604,7 +694,7 @@ fn crossover_extrapolation(a: &[(f64, f64)], b: &[(f64, f64)]) -> Option<f64> {
 
 /// E10: `ε`-additive average eccentricity: rounds vs `D^{3/2}/ε`, error
 /// within `ε`.
-pub fn e10_average_eccentricity(scale: Scale) -> Table {
+pub fn e10_average_eccentricity(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E10",
         "Average eccentricity (Lemma 22)",
@@ -621,6 +711,7 @@ pub fn e10_average_eccentricity(scale: Scale) -> Table {
         let net = Network::new(&g);
         for &eps in &[4.0f64, 2.0, 1.0] {
             let res = quantum_average_eccentricity(&net, eps, 13).expect("avg ecc");
+            col.absorb_ledger(&format!("{name}/ε={eps}/average-eccentricity"), &res.ledger);
             let err = (res.estimate - truth).abs();
             t.row(vec![
                 name.into(),
@@ -643,7 +734,7 @@ pub fn e10_average_eccentricity(scale: Scale) -> Table {
 
 /// E11: cycle-of-length-≤k detection: Lemma 23, the clustered Lemma 25,
 /// and the classical all-sources baseline, sweeping `n`.
-pub fn e11_cycle_detection(scale: Scale) -> Table {
+pub fn e11_cycle_detection(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E11",
         "Cycle detection (Lemmas 23, 25)",
@@ -661,6 +752,9 @@ pub fn e11_cycle_detection(scale: Scale) -> Table {
         let q = quantum_cycle_detection(&net, gl, 3).expect("lemma 23");
         let cl = quantum_cycle_detection_clustered(&net, gl, 3).expect("lemma 25");
         let c = classical_cycle_detection(&net, gl, 3).expect("classical");
+        col.absorb_ledger(&format!("n={n} (light)/quantum"), &q.ledger);
+        col.absorb_ledger(&format!("n={n} (light)/clustered"), &cl.ledger);
+        col.absorb_ledger(&format!("n={n} (light)/classical"), &c.ledger);
         assert_eq!(c.length, Some(gl), "classical detector is exact");
         t.row(vec![
             format!("{n} (light)"),
@@ -681,6 +775,8 @@ pub fn e11_cycle_detection(scale: Scale) -> Table {
         let net = Network::new(&g);
         let q = quantum_cycle_detection(&net, gl, 5).expect("lemma 23 heavy");
         let c = classical_cycle_detection(&net, gl, 5).expect("classical heavy");
+        col.absorb_ledger(&format!("n={n} (heavy)/quantum"), &q.ledger);
+        col.absorb_ledger(&format!("n={n} (heavy)/classical"), &c.ledger);
         t.row(vec![
             format!("{n} (heavy)"),
             gl.to_string(),
@@ -702,7 +798,7 @@ pub fn e11_cycle_detection(scale: Scale) -> Table {
 
 /// E12: girth computation vs the classical baseline and the `Ω(√n)`
 /// classical lower bound.
-pub fn e12_girth(scale: Scale) -> Table {
+pub fn e12_girth(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E12",
         "Girth (Corollary 26)",
@@ -719,6 +815,8 @@ pub fn e12_girth(scale: Scale) -> Table {
         let net = Network::new(&g);
         let q = quantum_girth(&net, 0.5, 3).expect("quantum girth");
         let c = classical_girth(&net, 3).expect("classical girth");
+        col.absorb_ledger(&format!("n={n}/quantum-girth"), &q.ledger);
+        col.absorb_ledger(&format!("n={n}/classical-girth"), &c.ledger);
         assert_eq!(c.girth, Some(gl));
         t.row(vec![
             n.to_string(),
@@ -739,7 +837,7 @@ pub fn e12_girth(scale: Scale) -> Table {
 // ---------------------------------------------------------------------
 
 /// E13: non-oracle building blocks: measured rounds vs the §6 bounds.
-pub fn e13_non_oracle(scale: Scale) -> Table {
+pub fn e13_non_oracle(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E13",
         "Non-oracle techniques (§6: Lemmas 27–29, Corollary 30)",
@@ -757,6 +855,7 @@ pub fn e13_non_oracle(scale: Scale) -> Table {
         for &p in &[0.04f64, 0.01] {
             let res = amplitude_amplification(&net, PreparationSubroutine::new(16, p), 0.1, r)
                 .expect("AA");
+            col.absorb_ledger(&format!("r={r}/p={p}/amp-amplification"), &res.ledger);
             t.row(vec![
                 "amp-amplification".into(),
                 format!("p={p}, δ=0.1"),
@@ -766,7 +865,11 @@ pub fn e13_non_oracle(scale: Scale) -> Table {
             ]);
         }
         for &eps in &[0.05f64, 0.01] {
-            let res = distributed_phase_estimation(&net, 0.271, 3, eps, 0.1, r).expect("QPE");
+            let res = with_qsim_metrics(col, || {
+                distributed_phase_estimation(&net, 0.271, 3, eps, 0.1, r)
+            })
+            .expect("QPE");
+            col.absorb_ledger(&format!("r={r}/ε={eps}/phase-estimation"), &res.ledger);
             t.row(vec![
                 "phase-estimation".into(),
                 format!("ε={eps}, R=3"),
@@ -775,7 +878,11 @@ pub fn e13_non_oracle(scale: Scale) -> Table {
                 format!("|φ̂−φ|={:.4}", (res.phi - 0.271).abs()),
             ]);
         }
-        let res = distributed_amplitude_estimation(&net, 0.2, 0.5, 4, 0.05, 0.1, r).expect("AE");
+        let res = with_qsim_metrics(col, || {
+            distributed_amplitude_estimation(&net, 0.2, 0.5, 4, 0.05, 0.1, r)
+        })
+        .expect("AE");
+        col.absorb_ledger(&format!("r={r}/amp-estimation"), &res.ledger);
         t.row(vec![
             "amp-estimation".into(),
             "p=0.2, ε=0.05".into(),
@@ -793,7 +900,7 @@ pub fn e13_non_oracle(scale: Scale) -> Table {
 
 /// E14: statevector validation of Lemma 7 and Theorem 17 — fidelities must
 /// be 1 and Deutsch–Jozsa outcomes deterministic.
-pub fn e14_exact_mode(_scale: Scale) -> Table {
+pub fn e14_exact_mode(_scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E14",
         "Exact mode (statevector): Lemma 7 + Theorem 17",
@@ -807,10 +914,20 @@ pub fn e14_exact_mode(_scale: Scale) -> Table {
         ("tree(2,2)", congest::generators::balanced_tree(2, 2), 0),
         ("random-tree(6)", random_tree(6, 5), 2),
     ];
+    // The exact drivers report rounds only, so their spans carry no
+    // message counts.
+    let span = |col: &mut Collector, name: String, rounds: usize| {
+        col.enter(&name);
+        col.advance(rounds as u64);
+        col.exit();
+    };
     let mut rng = StdRng::seed_from_u64(14);
     for (name, g, leader) in cases {
         let amps = vec![c64(s, 0.0), c64(0.0, -s), c64(0.0, 0.0), c64(0.0, 0.0)];
-        let res = exact_distribute_roundtrip(&g, leader, amps).expect("exact roundtrip");
+        let res = with_qsim_metrics(col, || exact_distribute_roundtrip(&g, leader, amps))
+            .expect("exact roundtrip");
+        span(col, format!("{name}/distribute"), res.distribute_rounds);
+        span(col, format!("{name}/gather"), res.gather_rounds);
         // Distributed DJ with k = 4 on the same network.
         let n = g.n();
         let k = 4usize;
@@ -821,7 +938,9 @@ pub fn e14_exact_mode(_scale: Scale) -> Table {
         } else {
             local[n - 1] = vec![true, true, true, true];
         }
-        let dj = exact_distributed_dj(&g, leader, &local).expect("exact DJ");
+        let dj =
+            with_qsim_metrics(col, || exact_distributed_dj(&g, leader, &local)).expect("exact DJ");
+        span(col, format!("{name}/exact-dj"), dj.rounds);
         let want = if balanced { DjAnswer::Balanced } else { DjAnswer::Constant };
         t.row(vec![
             name.into(),
@@ -836,82 +955,43 @@ pub fn e14_exact_mode(_scale: Scale) -> Table {
     t
 }
 
-/// Run every experiment at the given scale, in order.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_distribute(scale),
-        e2_parallel_grover(scale),
-        e3_parallel_minimum(scale),
-        e4_parallel_distinctness(scale),
-        e5_parallel_mean(scale),
-        e6_meeting_scheduling(scale),
-        e7_distinctness(scale),
-        e8_deutsch_jozsa(scale),
-        e9_diameter_radius(scale),
-        e10_average_eccentricity(scale),
-        e11_cycle_detection(scale),
-        e12_girth(scale),
-        e13_non_oracle(scale),
-        e14_exact_mode(scale),
-        e15_batch_width_ablation(scale),
-        e16_bandwidth_ablation(scale),
-        e17_boosting(scale),
-        e18_extensions(scale),
-        e19_fault_tolerance(scale),
-    ]
-}
+/// One entry of [`CATALOG`]: id, one-line description, and the function
+/// that builds the table while recording its runs into the collector.
+pub type Experiment = (&'static str, &'static str, fn(Scale, &mut Collector) -> Table);
 
-/// The experiment suite: `(id, one-line description)` for every id
-/// [`run_one`] accepts, in numeric order. This is what `reproduce --list`
-/// prints.
-pub fn catalog() -> &'static [(&'static str, &'static str)] {
-    &[
-        ("e1", "Lemma 7: register distribution with pipelining vs store-and-forward"),
-        ("e2", "Lemma 2: parallel Grover search query/batch accounting"),
-        ("e3", "Lemma 3: parallel minimum finding (Dürr–Høyer)"),
-        ("e4", "Lemma 5: parallel element distinctness (Johnson walk)"),
-        ("e5", "Lemma 6: parallel mean estimation"),
-        ("e6", "Meeting scheduling in CONGEST (Lemmas 10–11)"),
-        ("e7", "Element distinctness in CONGEST (Lemmas 12–15)"),
-        ("e8", "Distributed Deutsch–Jozsa (Theorems 17–18)"),
-        ("e9", "Diameter & radius (Lemmas 20–21)"),
-        ("e10", "Average eccentricity (Lemma 22)"),
-        ("e11", "Cycle detection (Lemmas 23, 25)"),
-        ("e12", "Girth (Corollary 26)"),
-        ("e13", "Non-oracle techniques (§6: Lemmas 27–29, Corollary 30)"),
-        ("e14", "Exact statevector mode: Lemma 7 + Theorem 17"),
-        ("e15", "Ablation: batch width p (the paper picks p = Θ(D))"),
-        ("e16", "Ablation: per-edge bandwidth cap c·⌈log n⌉"),
-        ("e17", "Success boosting: 2/3 → 1 − n^(−c)"),
-        ("e18", "Extensions: Bernstein–Vazirani, exact even cycles, counting"),
-        ("e19", "Fault tolerance: seeded drops vs the Reliable ack/retry wrapper"),
-    ]
-}
+/// The experiment suite in numeric order: the one definition behind
+/// `reproduce --list`, its id check, and [`run_one`].
+pub const CATALOG: &[Experiment] = &[
+    ("e1", "Lemma 7: register distribution with pipelining vs store-and-forward", e1_distribute),
+    ("e2", "Lemma 2: parallel Grover search query/batch accounting", e2_parallel_grover),
+    ("e3", "Lemma 3: parallel minimum finding (Dürr–Høyer)", e3_parallel_minimum),
+    ("e4", "Lemma 5: parallel element distinctness (Johnson walk)", e4_parallel_distinctness),
+    ("e5", "Lemma 6: parallel mean estimation", e5_parallel_mean),
+    ("e6", "Meeting scheduling in CONGEST (Lemmas 10–11)", e6_meeting_scheduling),
+    ("e7", "Element distinctness in CONGEST (Lemmas 12–15)", e7_distinctness),
+    ("e8", "Distributed Deutsch–Jozsa (Theorems 17–18)", e8_deutsch_jozsa),
+    ("e9", "Diameter & radius (Lemmas 20–21)", e9_diameter_radius),
+    ("e10", "Average eccentricity (Lemma 22)", e10_average_eccentricity),
+    ("e11", "Cycle detection (Lemmas 23, 25)", e11_cycle_detection),
+    ("e12", "Girth (Corollary 26)", e12_girth),
+    ("e13", "Non-oracle techniques (§6: Lemmas 27–29, Corollary 30)", e13_non_oracle),
+    ("e14", "Exact statevector mode: Lemma 7 + Theorem 17", e14_exact_mode),
+    ("e15", "Ablation: batch width p (the paper picks p = Θ(D))", e15_batch_width_ablation),
+    ("e16", "Ablation: per-edge bandwidth cap c·⌈log n⌉", e16_bandwidth_ablation),
+    ("e17", "Success boosting: 2/3 → 1 − n^(−c)", e17_boosting),
+    ("e18", "Extensions: Bernstein–Vazirani, exact even cycles, counting", e18_extensions),
+    ("e19", "Fault tolerance: seeded drops vs the Reliable ack/retry wrapper", e19_fault_tolerance),
+];
 
-/// Look up an experiment by id ("e1".."e19", case-insensitive).
-pub fn run_one(id: &str, scale: Scale) -> Option<Table> {
-    match id.to_ascii_lowercase().as_str() {
-        "e1" => Some(e1_distribute(scale)),
-        "e2" => Some(e2_parallel_grover(scale)),
-        "e3" => Some(e3_parallel_minimum(scale)),
-        "e4" => Some(e4_parallel_distinctness(scale)),
-        "e5" => Some(e5_parallel_mean(scale)),
-        "e6" => Some(e6_meeting_scheduling(scale)),
-        "e7" => Some(e7_distinctness(scale)),
-        "e8" => Some(e8_deutsch_jozsa(scale)),
-        "e9" => Some(e9_diameter_radius(scale)),
-        "e10" => Some(e10_average_eccentricity(scale)),
-        "e11" => Some(e11_cycle_detection(scale)),
-        "e12" => Some(e12_girth(scale)),
-        "e13" => Some(e13_non_oracle(scale)),
-        "e14" => Some(e14_exact_mode(scale)),
-        "e15" => Some(e15_batch_width_ablation(scale)),
-        "e16" => Some(e16_bandwidth_ablation(scale)),
-        "e17" => Some(e17_boosting(scale)),
-        "e18" => Some(e18_extensions(scale)),
-        "e19" => Some(e19_fault_tolerance(scale)),
-        _ => None,
-    }
+/// Run experiment `id` ("e1".."e19", case-insensitive) at `scale`: its
+/// table plus the collector holding the runs behind it. `None` for an
+/// unknown id.
+pub fn run_one(id: &str, scale: Scale) -> Option<(Table, Collector)> {
+    let id = id.to_ascii_lowercase();
+    let (_, _, run) = CATALOG.iter().find(|(known, _, _)| *known == id)?;
+    let mut col = Collector::new();
+    let table = run(scale, &mut col);
+    Some((table, col))
 }
 
 // ---------------------------------------------------------------------
@@ -922,7 +1002,7 @@ pub fn run_one(id: &str, scale: Scale) -> Option<Table> {
 /// `p = Θ(D)`; too-small `p` wastes the network on idle waits (the
 /// Le Gall–Magniez issue the framework fixes), too-large `p` pays the
 /// `p·⌈log k/log n⌉` distribution term without reducing batches.
-pub fn e15_batch_width_ablation(scale: Scale) -> Table {
+pub fn e15_batch_width_ablation(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E15",
         "Ablation: batch width p (the paper picks p = Θ(D))",
@@ -951,6 +1031,7 @@ pub fn e15_batch_width_ablation(scale: Scale) -> Table {
         let mut rng = StdRng::seed_from_u64(77);
         let out =
             pquery::minimum::find_extremum(&mut oracle, pquery::minimum::Extremum::Max, &mut rng);
+        col.absorb_ledger(&format!("p={p}/quantum-meeting-scheduling"), oracle.ledger());
         t.row(vec![
             p.to_string(),
             oracle.rounds().to_string(),
@@ -969,7 +1050,7 @@ pub fn e15_batch_width_ablation(scale: Scale) -> Table {
 /// E16: sweep the per-edge bandwidth factor `c` (cap = c·⌈log n⌉). The
 /// model grants O(log n); halving it should roughly double register
 /// streaming times, confirming the ⌈q/log n⌉ factors.
-pub fn e16_bandwidth_ablation(scale: Scale) -> Table {
+pub fn e16_bandwidth_ablation(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E16",
         "Ablation: per-edge bandwidth cap c·⌈log n⌉",
@@ -990,6 +1071,8 @@ pub fn e16_bandwidth_ablation(scale: Scale) -> Table {
         let net = Network::new(&g).with_bandwidth(cap);
         let djr = quantum_dj(&net, &dj, 5).expect("dj").expect("promise");
         let mr = quantum_meeting_scheduling(&net, &meet, 5).expect("scheduling");
+        col.absorb_ledger(&format!("c={c}/quantum-dj"), &djr.ledger);
+        col.absorb_ledger(&format!("c={c}/quantum-meeting-scheduling"), &mr.ledger);
         t.row(vec![c.to_string(), cap.to_string(), djr.rounds.to_string(), mr.rounds.to_string()]);
     }
     t.note("shrinking c inflates the streaming-dominated phases by the ⌈q/cap⌉ factor");
@@ -1002,7 +1085,7 @@ pub fn e16_bandwidth_ablation(scale: Scale) -> Table {
 
 /// E17: success boosting to `1 − n^{−c}`: reliability and cost of the
 /// `O(log n)`-repetition combiner.
-pub fn e17_boosting(scale: Scale) -> Table {
+pub fn e17_boosting(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E17",
         "Success boosting (conventions note: 2/3 → 1 − n^{-c})",
@@ -1016,13 +1099,16 @@ pub fn e17_boosting(scale: Scale) -> Table {
         Scale::Quick => 4,
         Scale::Full => 10,
     };
-    let single = dqc_core::eccentricity::quantum_diameter(&net, 0).expect("diameter").rounds;
+    let single = dqc_core::eccentricity::quantum_diameter(&net, 0).expect("diameter");
+    col.absorb_ledger("single/quantum-diameter", &single.ledger);
+    let single = single.rounds;
     for c in [0.5f64, 1.0, 2.0] {
         let mut hits = 0;
         let mut rounds = 0;
         let mut reps = 0;
         for seed in 0..trials {
             let res = dqc_core::boosting::boosted_diameter(&net, c, seed as u64).expect("boosted");
+            col.absorb_ledger(&format!("c={c}/seed={seed}/boosted-diameter"), &res.ledger);
             hits += (res.value == truth) as usize;
             rounds += res.rounds;
             reps = res.repetitions;
@@ -1044,7 +1130,7 @@ pub fn e17_boosting(scale: Scale) -> Table {
 /// E18: the extension modules — distributed Bernstein–Vazirani (another
 /// exact separation), exact even-cycle detection (§5.2 closing remark),
 /// and quantum counting.
-pub fn e18_extensions(scale: Scale) -> Table {
+pub fn e18_extensions(scale: Scale, col: &mut Collector) -> Table {
     let mut t = Table::new(
         "E18",
         "Extensions: Bernstein–Vazirani, exact even cycles, counting",
@@ -1063,6 +1149,8 @@ pub fn e18_extensions(scale: Scale) -> Table {
         let inst = dqc_core::bernstein_vazirani::BvInstance::random(12, &hidden, m as u64);
         let q = dqc_core::bernstein_vazirani::quantum_bv(&net, &inst, 3).expect("bv");
         let c = dqc_core::bernstein_vazirani::classical_exact_bv(&net, &inst, 3).expect("bv");
+        col.absorb_ledger(&format!("m={m}/quantum-bv"), &q.ledger);
+        col.absorb_ledger(&format!("m={m}/classical-bv"), &c.ledger);
         t.row(vec![
             "bernstein-vazirani".into(),
             format!("m={m}"),
@@ -1075,6 +1163,7 @@ pub fn e18_extensions(scale: Scale) -> Table {
     let g = grid(6, 6);
     let net = Network::new(&g);
     let r = dqc_core::even_cycles::quantum_exact_even_cycle(&net, 4, 2).expect("C4");
+    col.absorb_ledger("grid 6×6/exact-C4", &r.ledger);
     t.row(vec![
         "exact-C4".into(),
         "grid 6×6".into(),
@@ -1085,6 +1174,7 @@ pub fn e18_extensions(scale: Scale) -> Table {
     let g = congest::generators::cycle(12);
     let net = Network::new(&g);
     let r = dqc_core::even_cycles::quantum_exact_even_cycle(&net, 6, 2).expect("C6");
+    col.absorb_ledger("C12/exact-C6", &r.ledger);
     t.row(vec![
         "exact-C6".into(),
         "C12 (no C6)".into(),
@@ -1104,6 +1194,8 @@ pub fn e18_extensions(scale: Scale) -> Table {
         let inst = dqc_core::simon::SimonInstance::random(8, m, s_hidden, m as u64);
         let q = dqc_core::simon::quantum_simon(&net, &inst, 3).expect("simon");
         let c = dqc_core::simon::classical_birthday_simon(&net, &inst, 3).expect("simon");
+        col.absorb_ledger(&format!("m={m}/quantum-simon"), &q.ledger);
+        col.absorb_ledger(&format!("m={m}/classical-simon"), &c.ledger);
         t.row(vec![
             "simon".into(),
             format!("m={m} (2^m={})", 1usize << m),
@@ -1125,6 +1217,8 @@ pub fn e18_extensions(scale: Scale) -> Table {
     let q =
         dqc_core::counting::quantum_count_quorum_slots(&net, &inst, 8, eps, 2).expect("counting");
     let c = dqc_core::counting::classical_count_quorum_slots(&net, &inst, 8, 2).expect("counting");
+    col.absorb_ledger(&format!("k={k}/quantum-counting"), &q.ledger);
+    col.absorb_ledger(&format!("k={k}/classical-counting"), &c.ledger);
     t.row(vec![
         "quorum-counting".into(),
         format!("k={k}, ε={eps}"),
@@ -1148,12 +1242,30 @@ pub fn e18_extensions(scale: Scale) -> Table {
 /// its `Reliable`-wrapped run under loss; correctness must hold at every
 /// rate and the ack/retry overhead stay bounded. The note records the
 /// conformance/differential sweep: every cell audited under both engines.
-pub fn e19_fault_tolerance(scale: Scale) -> Table {
+pub fn e19_fault_tolerance(scale: Scale, col: &mut Collector) -> Table {
     use crate::harness::bfs_tree_is_valid;
     use congest::bfs::BfsTreeProtocol;
     use congest::conformance::FloodProtocol;
     use congest::faults::{FaultPlan, Reliable, RetryConfig};
+    use congest::runtime::{NodeProtocol, RunOutput};
     use congest::tree_comm::BroadcastRegisterProtocol;
+
+    /// One engine run with `col` attached, inside a span named `name`.
+    fn recorded_run<P>(
+        col: &mut Collector,
+        name: &str,
+        net: &Network,
+        nodes: Vec<P>,
+    ) -> RunOutput<P>
+    where
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync,
+    {
+        col.enter(name);
+        let out = net.exec(nodes).telemetry(col).run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        col.exit();
+        out
+    }
 
     let mut t = Table::new(
         "E19",
@@ -1183,24 +1295,38 @@ pub fn e19_fault_tolerance(scale: Scale) -> Table {
     let chunk = 6u64;
     for (gname, g) in &topologies {
         let clean_net = Network::new(g);
-        let views = congest::bfs::build_bfs_tree(&clean_net, 0).expect("connected").views;
-        let flood_clean = clean_net.run(FloodProtocol::instances(g.n(), 0)).expect("flood");
-        let bfs_clean = clean_net.run(BfsTreeProtocol::instances(g.n(), 0)).expect("bfs");
-        let bcast_clean = clean_net
-            .run(BroadcastRegisterProtocol::instances(
-                &views,
-                reg.clone(),
-                chunk,
-                Schedule::Pipelined,
-            ))
-            .expect("broadcast");
+        let tree = congest::bfs::build_bfs_tree(&clean_net, 0).expect("connected");
+        col.record_run(&format!("{gname}/bfs-tree"), &tree.stats);
+        let views = tree.views;
+        let flood_clean = recorded_run(
+            col,
+            &format!("{gname}/clean/flood"),
+            &clean_net,
+            FloodProtocol::instances(g.n(), 0),
+        );
+        let bfs_clean = recorded_run(
+            col,
+            &format!("{gname}/clean/bfs"),
+            &clean_net,
+            BfsTreeProtocol::instances(g.n(), 0),
+        );
+        let bcast_clean = recorded_run(
+            col,
+            &format!("{gname}/clean/broadcast"),
+            &clean_net,
+            BroadcastRegisterProtocol::instances(&views, reg.clone(), chunk, Schedule::Pipelined),
+        );
         for &rate in rates {
             let plan = FaultPlan::new(19).with_drop_rate(rate);
             let net = Network::new(g).with_faults(plan);
+            let cell = format!("{gname}/drop={:.0}%", rate * 100.0);
 
-            let run = net
-                .run(Reliable::wrap_all(FloodProtocol::instances(g.n(), 0), retry))
-                .expect("reliable flood");
+            let run = recorded_run(
+                col,
+                &format!("{cell}/reliable-flood"),
+                &net,
+                Reliable::wrap_all(FloodProtocol::instances(g.n(), 0), retry),
+            );
             let ok = run.nodes.iter().all(|r| r.inner().has_token);
             t.row(vec![
                 "flood".into(),
@@ -1213,9 +1339,12 @@ pub fn e19_fault_tolerance(scale: Scale) -> Table {
                 ok.to_string(),
             ]);
 
-            let run = net
-                .run(Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), retry))
-                .expect("reliable bfs");
+            let run = recorded_run(
+                col,
+                &format!("{cell}/reliable-bfs"),
+                &net,
+                Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), retry),
+            );
             let outcome: Vec<_> = run
                 .nodes
                 .iter()
@@ -1233,8 +1362,11 @@ pub fn e19_fault_tolerance(scale: Scale) -> Table {
                 ok.to_string(),
             ]);
 
-            let run = net
-                .run(Reliable::wrap_all(
+            let run = recorded_run(
+                col,
+                &format!("{cell}/reliable-broadcast"),
+                &net,
+                Reliable::wrap_all(
                     BroadcastRegisterProtocol::instances(
                         &views,
                         reg.clone(),
@@ -1242,8 +1374,8 @@ pub fn e19_fault_tolerance(scale: Scale) -> Table {
                         Schedule::Pipelined,
                     ),
                     retry,
-                ))
-                .expect("reliable broadcast");
+                ),
+            );
             let ok = run.nodes.iter().all(|r| r.inner().register() == &reg);
             t.row(vec![
                 "broadcast".into(),
@@ -1273,17 +1405,21 @@ pub fn e19_fault_tolerance(scale: Scale) -> Table {
 mod tests {
     use super::*;
 
+    fn quick(id: &str) -> (Table, Collector) {
+        run_one(id, Scale::Quick).unwrap_or_else(|| panic!("{id} is in the catalog"))
+    }
+
     #[test]
     fn quick_smoke_e1_e5() {
         for id in ["e1", "e2", "e3", "e4", "e5"] {
-            let t = run_one(id, Scale::Quick).unwrap();
+            let (t, _) = quick(id);
             assert!(!t.rows.is_empty(), "{id} produced no rows");
         }
     }
 
     #[test]
     fn quick_smoke_e14() {
-        let t = e14_exact_mode(Scale::Quick);
+        let t = e14_exact_mode(Scale::Quick, &mut Collector::new());
         for row in &t.rows {
             assert!(row[2].starts_with("1.0") || row[2].starts_with("0.9999"));
             assert_eq!(row[5], "true");
@@ -1293,13 +1429,14 @@ mod tests {
     #[test]
     fn unknown_experiment_is_none() {
         assert!(run_one("e99", Scale::Quick).is_none());
+        assert!(run_one("all", Scale::Quick).is_none());
     }
 
     #[test]
     fn catalog_covers_the_suite_in_order() {
         let ids: Vec<String> = (1..=19).map(|i| format!("e{i}")).collect();
-        assert_eq!(catalog().iter().map(|(id, _)| *id).collect::<Vec<_>>(), ids);
-        for (id, what) in catalog() {
+        assert_eq!(CATALOG.iter().map(|(id, _, _)| *id).collect::<Vec<_>>(), ids);
+        for (id, what, _) in CATALOG {
             assert!(!what.is_empty(), "{id} has no description");
             assert!(!what.contains('\n'), "{id} description is not one line");
         }
@@ -1307,10 +1444,92 @@ mod tests {
 
     #[test]
     fn every_catalog_id_has_a_telemetry_collector() {
-        // `reproduce --telemetry` exits nonzero on an uncollectable id, so
-        // the collector match must keep covering the whole catalog.
-        for (id, _) in catalog() {
-            assert!(crate::telemetry::collect(id, Scale::Quick).is_some(), "{id} uncollectable");
+        // `reproduce --telemetry` writes whatever the experiment recorded,
+        // so every entry must record the work behind its table.
+        for (id, _, _) in CATALOG {
+            let (_, col) = quick(id);
+            assert!(!col.spans().is_empty() || !col.counters().is_empty(), "{id} recorded nothing");
+        }
+    }
+
+    #[test]
+    fn driver_level_capture_has_spans_and_bits() {
+        let (t, col) = quick("e1");
+        let count = |suffix: &str| col.spans().iter().filter(|s| s.name.ends_with(suffix)).count();
+        assert_eq!(count("/pipelined"), t.rows.len());
+        assert_eq!(count("/naive"), t.rows.len());
+        assert!(col.counter("engine.bits") > 0);
+    }
+
+    #[test]
+    fn ledger_level_capture_has_setup_phases() {
+        let (_, col) = quick("e6");
+        let spans = col.spans();
+        let root = spans
+            .iter()
+            .position(|s| s.depth == 0 && s.name.ends_with("meeting-scheduling"))
+            .expect("meeting-scheduling root span");
+        assert!(
+            spans[root + 1..]
+                .iter()
+                .take_while(|s| s.depth > 0)
+                .any(|s| s.name == "leader-election"),
+            "no leader-election child under {}",
+            spans[root].name
+        );
+    }
+
+    #[test]
+    fn pquery_capture_logs_widths_and_idle_slots() {
+        let (_, col) = quick("e2");
+        assert!(col.counter("pquery.batches") > 0);
+        let h = col.histogram("pquery.batch_width").expect("width histogram");
+        assert_eq!(h.count, col.counter("pquery.batches"));
+        assert_eq!(h.sum, col.counter("pquery.queries"));
+    }
+
+    #[test]
+    fn exports_are_deterministic() {
+        let (t1, a) = quick("e2");
+        let (t2, b) = quick("e2");
+        assert_eq!(t1.render(), t2.render());
+        assert_eq!(a.to_chrome_jsonl(), b.to_chrome_jsonl());
+        assert_eq!(a.metrics_json(), b.metrics_json());
+    }
+
+    #[test]
+    fn qsim_capture_folds_kernel_counters() {
+        // E14 applies gates to the state directly; E13's phase estimation
+        // runs fused circuits.
+        let (_, col) = quick("e14");
+        assert!(col.counter("qsim.kernel_launches") > 0);
+        let (_, col) = quick("e13");
+        assert!(col.counter("qsim.fuse_gates_in") >= col.counter("qsim.fuse_groups"));
+        assert!(col.counter("qsim.fuse_groups") > 0);
+        assert!(col.counter("qsim.matrix_applies") > 0);
+    }
+
+    #[test]
+    fn faulted_capture_records_retries() {
+        let (_, col) = quick("e19");
+        assert!(col.counter("reliable.sends") > 0);
+        assert!(col.counter("reliable.retries") > 0, "20% drop must force retransmits");
+        assert!(col.counter("engine.dropped") > 0);
+        assert!(!col.round_samples().is_empty());
+        assert!(!col.edge_loads().is_empty());
+        assert!(col.spans().iter().any(|s| s.name.ends_with("/reliable-flood")));
+    }
+
+    #[test]
+    fn e9_trace_is_the_tables_run() {
+        // Each row's quantum-diameter span must cover exactly the rounds
+        // the table reports: the trace describes the run behind the cell.
+        let (t, col) = quick("e9");
+        assert!(!t.rows.is_empty());
+        for row in &t.rows {
+            let name = format!("n={}/quantum-diameter", row[0]);
+            let span = col.spans().iter().find(|s| s.name == name).expect("span per row");
+            assert_eq!(span.rounds.to_string(), row[2], "{name}");
         }
     }
 }

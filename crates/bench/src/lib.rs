@@ -11,7 +11,6 @@
 pub mod experiments;
 pub mod harness;
 pub mod table;
-pub mod telemetry;
 
-pub use experiments::{catalog, run_all, run_one, Scale};
+pub use experiments::{run_one, Scale, CATALOG};
 pub use table::Table;

@@ -23,7 +23,7 @@
 
 use crate::graph::NodeId;
 use crate::runtime::{
-    Ctx, EngineMode, MessageSize, Network, NodeProtocol, Run, RunStats, RuntimeError, Trace,
+    Ctx, EngineMode, MessageSize, Network, NodeProtocol, RunOutput, RunStats, RuntimeError, Trace,
 };
 use std::fmt;
 
@@ -123,7 +123,7 @@ pub struct Checked<P> {
     /// The conformance findings.
     pub report: ConformanceReport,
     /// The audited sequential run (final node states and statistics).
-    pub run: Run<P>,
+    pub run: RunOutput<P>,
     /// The audited sequential run's per-round trace.
     pub trace: Trace,
 }
@@ -206,7 +206,7 @@ where
     }
     Ok(Checked {
         report: ConformanceReport { violations, stats: seq.stats },
-        run: Run { nodes: seq.nodes, stats: seq.stats },
+        run: RunOutput { nodes: seq.nodes, stats: seq.stats, trace: (), violations: () },
         trace: seq.trace,
     })
 }
@@ -282,17 +282,17 @@ mod tests {
         let g = path(5);
         let net = Network::new(&g);
         let out = net.exec(FloodProtocol::instances(5, 0)).traced().audited().run().expect("run");
-        let (run, mut trace) = (Run { nodes: out.nodes, stats: out.stats }, out.trace);
-        assert!(validate_trace(&run.stats, &trace, net.cap_bits()).is_empty());
+        let mut trace = out.trace;
+        assert!(validate_trace(&out.stats, &trace, net.cap_bits()).is_empty());
         // Tamper with the trace: each identity must catch its breach.
         let mut miscounted = trace.clone();
         miscounted.rounds[0].messages += 1;
-        let found = validate_trace(&run.stats, &miscounted, net.cap_bits());
+        let found = validate_trace(&out.stats, &miscounted, net.cap_bits());
         assert!(found
             .iter()
             .any(|v| matches!(v, Violation::TraceInconsistent { field: "message total", .. })));
         trace.rounds.pop();
-        let found = validate_trace(&run.stats, &trace, net.cap_bits());
+        let found = validate_trace(&out.stats, &trace, net.cap_bits());
         assert!(found
             .iter()
             .any(|v| matches!(v, Violation::TraceInconsistent { field: "recorded rounds", .. })));

@@ -295,15 +295,6 @@ impl RunStats {
     }
 }
 
-/// The result of a completed run: the final node states plus statistics.
-#[derive(Debug)]
-pub struct Run<P> {
-    /// Final per-node protocol states, indexed by [`NodeId`].
-    pub nodes: Vec<P>,
-    /// Measured statistics.
-    pub stats: RunStats,
-}
-
 /// Per-round record of a traced run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTrace {
@@ -564,7 +555,7 @@ impl<'g> Network<'g> {
     ///
     /// Returns an error if a node sends to a non-neighbor, an edge exceeds
     /// the bandwidth cap, the round limit is hit, or `nodes.len() != n`.
-    pub fn run<P>(&self, nodes: Vec<P>) -> Result<Run<P>, RuntimeError>
+    pub fn run<P>(&self, nodes: Vec<P>) -> Result<RunOutput<P>, RuntimeError>
     where
         P: NodeProtocol + Send,
         P::Msg: Send + Sync,
@@ -610,7 +601,7 @@ impl<'g> Network<'g> {
     /// Same as [`run`](Self::run), except that model breaches are reported
     /// through [`RunObserver::on_violation`] instead of aborting when
     /// `obs.audits()` is true.
-    pub fn run_with<P, O>(&self, nodes: Vec<P>, obs: O) -> Result<Run<P>, RuntimeError>
+    pub fn run_with<P, O>(&self, nodes: Vec<P>, obs: O) -> Result<RunOutput<P>, RuntimeError>
     where
         P: NodeProtocol + Send,
         P::Msg: Send + Sync,
@@ -630,7 +621,10 @@ impl<'g> Network<'g> {
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
-    pub fn run_sequential<P: NodeProtocol>(&self, nodes: Vec<P>) -> Result<Run<P>, RuntimeError> {
+    pub fn run_sequential<P: NodeProtocol>(
+        &self,
+        nodes: Vec<P>,
+    ) -> Result<RunOutput<P>, RuntimeError> {
         self.run_sequential_with(nodes, ())
     }
 
@@ -644,94 +638,8 @@ impl<'g> Network<'g> {
         &self,
         nodes: Vec<P>,
         obs: O,
-    ) -> Result<Run<P>, RuntimeError> {
+    ) -> Result<RunOutput<P>, RuntimeError> {
         self.exec_loop(nodes, obs, 1, SeqDriver)
-    }
-
-    /// Like [`run`](Self::run), but records structured telemetry into
-    /// `tel`. See [`Exec::telemetry`] for the semantics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).telemetry(tel).run()`")]
-    pub fn run_telemetry<P>(
-        &self,
-        nodes: Vec<P>,
-        tel: &mut Collector,
-    ) -> Result<Run<P>, RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
-        let out = self.exec(nodes).telemetry(tel).run()?;
-        Ok(Run { nodes: out.nodes, stats: out.stats })
-    }
-
-    /// Like [`run`](Self::run), but also records a per-round [`Trace`].
-    /// See [`Exec::traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).traced().run()`")]
-    pub fn run_traced<P>(&self, nodes: Vec<P>) -> Result<(Run<P>, Trace), RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
-        let out = self.exec(nodes).traced().run()?;
-        Ok((Run { nodes: out.nodes, stats: out.stats }, out.trace))
-    }
-
-    /// Traced run in *audit mode*: model breaches are recorded as
-    /// [`Violation`]s instead of aborting. See [`Exec::audited`].
-    ///
-    /// # Errors
-    ///
-    /// Only hard failures error here: wrong node count, round-limit
-    /// exhaustion, and protocol-reported failures such as
-    /// [`RetryBudgetExhausted`](RuntimeError::RetryBudgetExhausted).
-    #[deprecated(note = "use `net.exec(nodes).traced().audited().run()`")]
-    pub fn run_audited<P>(
-        &self,
-        nodes: Vec<P>,
-    ) -> Result<(Run<P>, Trace, Vec<Violation>), RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
-        let out = self.exec(nodes).traced().audited().run()?;
-        Ok((Run { nodes: out.nodes, stats: out.stats }, out.trace, out.violations))
-    }
-
-    /// Telemetry on the single-threaded engine. See [`Exec::telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).telemetry(tel).run_sequential()`")]
-    pub fn run_sequential_telemetry<P: NodeProtocol>(
-        &self,
-        nodes: Vec<P>,
-        tel: &mut Collector,
-    ) -> Result<Run<P>, RuntimeError> {
-        let out = self.exec(nodes).telemetry(tel).run_sequential()?;
-        Ok(Run { nodes: out.nodes, stats: out.stats })
-    }
-
-    /// Traced run on the single-threaded engine. See [`Exec::traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).traced().run_sequential()`")]
-    pub fn run_sequential_traced<P: NodeProtocol>(
-        &self,
-        nodes: Vec<P>,
-    ) -> Result<(Run<P>, Trace), RuntimeError> {
-        let out = self.exec(nodes).traced().run_sequential()?;
-        Ok((Run { nodes: out.nodes, stats: out.stats }, out.trace))
     }
 
     /// Validate one sender's outbox against the model, apply fault
@@ -894,7 +802,7 @@ impl<'g> Network<'g> {
         mut obs: O,
         threads: usize,
         driver: D,
-    ) -> Result<Run<P>, RuntimeError>
+    ) -> Result<RunOutput<P>, RuntimeError>
     where
         P: NodeProtocol,
         O: RunObserver,
@@ -931,7 +839,7 @@ impl<'g> Network<'g> {
             if core.quiescent() && nodes.iter().all(|p| p.is_done()) {
                 core.stats.rounds = core.last_active_round;
                 obs.on_finish(&core.stats);
-                return Ok(Run { nodes, stats: core.stats });
+                return Ok(RunOutput { nodes, stats: core.stats, trace: (), violations: () });
             }
             core.advance();
         }
@@ -1257,12 +1165,14 @@ where
     }
 }
 
-/// The typed result of a built run (see [`Network::exec`]).
+/// The result of every run: final node states and statistics, plus the
+/// artifacts a built run (see [`Network::exec`]) requested.
 ///
 /// `trace` and `violations` are typed by the builder calls that requested
-/// them: `()` when not requested, a [`Trace`] after [`Exec::traced`], a
-/// `Vec<Violation>` after [`Exec::audited`]. Telemetry is written into the
-/// borrowed [`Collector`] and does not appear here.
+/// them: `()` when not requested (always so for [`Network::run`] and its
+/// siblings), a [`Trace`] after [`Exec::traced`], a `Vec<Violation>` after
+/// [`Exec::audited`]. Telemetry is written into the borrowed [`Collector`]
+/// and does not appear here.
 #[derive(Debug)]
 pub struct RunOutput<P, T = (), A = ()> {
     /// Final per-node protocol states, indexed by [`NodeId`].
