@@ -721,6 +721,21 @@ mod tests {
     }
 
     #[test]
+    fn unknown_id_is_none() {
+        let mut col = Collector::new();
+        assert!(col.histogram("batch.width").is_none());
+        assert_eq!(col.counter("engine.bits"), 0);
+        col.observe("batch.width", 3);
+        col.add("engine.bits", 8);
+        // Recording under one name creates nothing under another.
+        assert!(col.histogram("batch.widths").is_none());
+        assert!(col.histogram("engine.bits").is_none());
+        assert_eq!(col.counter("batch.width"), 0);
+        assert!(!col.counters().contains_key("batch.width"));
+        assert_eq!(col.histogram("batch.width").map(|h| h.count), Some(1));
+    }
+
+    #[test]
     fn chrome_jsonl_lines_are_json_objects() {
         let mut col = Collector::new();
         col.enter("a \"quoted\" span\n");
