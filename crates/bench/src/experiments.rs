@@ -1262,7 +1262,7 @@ pub fn e19_fault_tolerance(scale: Scale, col: &mut Collector) -> Table {
         P::Msg: Send + Sync,
     {
         col.enter(name);
-        let out = net.exec(nodes).telemetry(col).run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = net.run_with(nodes, &mut *col).unwrap_or_else(|e| panic!("{name}: {e}"));
         col.exit();
         out
     }

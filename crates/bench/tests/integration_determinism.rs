@@ -69,7 +69,18 @@ fn round_limit_error_surfaces() {
     let g = path(30);
     let net = Network::new(&g).with_round_limit(3);
     let err = congest::bfs::build_bfs_tree(&net, 0).unwrap_err();
-    assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3 }));
+    // In three rounds nodes 0..=2 announce; node 2's round-2 sends are
+    // still in flight and nodes 3..=29 have not announced.
+    assert_eq!(
+        err,
+        RuntimeError::RoundLimitExceeded {
+            limit: 3,
+            last_active_round: Some(2),
+            not_done: 27,
+            first_not_done: Some(3),
+            in_flight: 3,
+        }
+    );
 }
 
 #[test]

@@ -7,24 +7,28 @@
 //! * **per-edge bandwidth** — every directed edge carries at most
 //!   `cap_bits` (qu)bits per round;
 //! * **locality** — messages travel only between graph neighbors;
-//! * **round accounting** — the per-round trace is monotone and consistent
-//!   with the aggregate statistics (`rounds` equals the number of recorded
-//!   rounds, per-round message/bit/drop counts sum to the totals, and the
-//!   busiest recorded edge never exceeds the observed maximum);
+//! * **round accounting** — the per-round samples a
+//!   [`Collector`] records are stamped with consecutive rounds and are
+//!   consistent with the aggregate statistics (`rounds` equals the number
+//!   of samples, per-round message/bit/drop counts sum to the totals, and
+//!   the busiest recorded edge never exceeds the observed maximum);
 //! * **engine agreement** — [`EngineMode::Sequential`] and
-//!   [`EngineMode::Parallel`] produce bit-identical statistics, traces, and
-//!   final node states for the same protocol and seed.
+//!   [`EngineMode::Parallel`] produce bit-identical statistics, round
+//!   samples, telemetry exports, and final node states for the same
+//!   protocol and seed.
 //!
 //! Where the plain engine *aborts* on the first contract breach, an audited
-//! run ([`Exec::audited`](crate::runtime::Exec::audited))
-//! records every breach as a [`Violation`] with round and edge provenance
-//! and keeps going, so a single run reports all of a protocol's violations.
-//! [`check_protocol`] wraps the whole procedure into one call.
+//! run (`net.run_with(nodes, &mut violations)`, see
+//! [`Network::run_with`]) records every breach as a [`Violation`] with
+//! round and edge provenance and keeps going, so a single run reports all
+//! of a protocol's violations. [`check_protocol`] wraps the whole
+//! procedure into one call.
 
 use crate::graph::NodeId;
 use crate::runtime::{
-    Ctx, EngineMode, MessageSize, Network, NodeProtocol, RunOutput, RunStats, RuntimeError, Trace,
+    Ctx, EngineMode, MessageSize, Network, NodeProtocol, RunOutput, RunStats, RuntimeError,
 };
+use crate::telemetry::{Collector, RoundSample};
 use std::fmt;
 
 /// One breach of the CONGEST model contract, with provenance.
@@ -52,18 +56,19 @@ pub enum Violation {
         /// The non-adjacent addressee.
         to: NodeId,
     },
-    /// The per-round trace disagrees with the aggregate statistics.
+    /// The per-round samples disagree with the aggregate statistics or
+    /// skip a round.
     TraceInconsistent {
         /// Which accounting identity failed.
         field: &'static str,
         /// The value implied by the statistics.
         expected: u64,
-        /// The value implied by the trace.
+        /// The value implied by the samples.
         got: u64,
     },
     /// The sequential and parallel engines disagreed on an observable.
     EngineDivergence {
-        /// Which observable diverged ("stats", "trace", "node states", …).
+        /// Which observable diverged ("stats", "round samples", …).
         field: &'static str,
     },
 }
@@ -78,7 +83,7 @@ impl fmt::Display for Violation {
                 write!(f, "round {round}: node {from} sent to non-neighbor {to}")
             }
             Violation::TraceInconsistent { field, expected, got } => {
-                write!(f, "trace inconsistent: {field} is {got}, stats imply {expected}")
+                write!(f, "trace inconsistent: {field} is {got}, expected {expected}")
             }
             Violation::EngineDivergence { field } => {
                 write!(f, "sequential and parallel engines disagree on {field}")
@@ -124,27 +129,40 @@ pub struct Checked<P> {
     pub report: ConformanceReport,
     /// The audited sequential run (final node states and statistics).
     pub run: RunOutput<P>,
-    /// The audited sequential run's per-round trace.
-    pub trace: Trace,
+    /// The telemetry of the audited sequential run; its
+    /// [`round_samples`](Collector::round_samples) are the run's
+    /// per-round trace.
+    pub telemetry: Collector,
 }
 
-/// Check the trace/statistics accounting identities of one audited run.
+/// Check the accounting identities of one run's per-round `samples`
+/// against its statistics.
 ///
-/// Returns violations only — an empty vector means the accounting is
-/// internally consistent and within `cap`.
-pub fn validate_trace(stats: &RunStats, trace: &Trace, cap: u64) -> Vec<Violation> {
+/// Returns violations only — an empty vector means the samples carry
+/// consecutive round stamps from the run's first round (the first
+/// sample's), the accounting is internally consistent, and the busiest
+/// edge stays within `cap`.
+pub fn validate_trace(stats: &RunStats, samples: &[RoundSample], cap: u64) -> Vec<Violation> {
     let mut out = Vec::new();
+    let first = samples.first().map_or(0, |s| s.round);
+    if let Some((i, s)) = samples.iter().enumerate().find(|&(i, s)| s.round != first + i as u64) {
+        out.push(Violation::TraceInconsistent {
+            field: "consecutive round stamps",
+            expected: first + i as u64,
+            got: s.round,
+        });
+    }
     let mut check = |field: &'static str, expected: u64, got: u64| {
         if expected != got {
             out.push(Violation::TraceInconsistent { field, expected, got });
         }
     };
-    check("recorded rounds", stats.rounds as u64, trace.rounds.len() as u64);
-    check("message total", stats.messages, trace.rounds.iter().map(|r| r.messages).sum());
-    check("bit total", stats.total_bits, trace.rounds.iter().map(|r| r.bits).sum());
-    check("drop total", stats.dropped, trace.rounds.iter().map(|r| r.dropped).sum());
+    check("recorded rounds", stats.rounds as u64, samples.len() as u64);
+    check("message total", stats.messages, samples.iter().map(|s| s.trace.messages).sum());
+    check("bit total", stats.total_bits, samples.iter().map(|s| s.trace.bits).sum());
+    check("drop total", stats.dropped, samples.iter().map(|s| s.trace.dropped).sum());
     let peak =
-        trace.rounds.iter().filter_map(|r| r.busiest_edge.map(|(_, _, b)| b)).max().unwrap_or(0);
+        samples.iter().filter_map(|s| s.trace.busiest_edge.map(|(_, _, b)| b)).max().unwrap_or(0);
     if peak > stats.max_edge_bits {
         out.push(Violation::TraceInconsistent {
             field: "busiest recorded edge",
@@ -185,29 +203,37 @@ where
     P::Msg: Send + Sync,
     F: Fn() -> Vec<P>,
 {
-    let seq_net = net.clone().with_engine(EngineMode::Sequential);
-    let seq = seq_net.exec(make()).traced().audited().run()?;
-    let par_net = net.clone().with_engine(EngineMode::Parallel { threads: threads.max(2) });
-    let par = par_net.exec(make()).traced().audited().run()?;
+    let audited = |mode: EngineMode| {
+        let (mut violations, mut col) = (Vec::new(), Collector::new());
+        let run = net.clone().with_engine(mode).run_with(make(), (&mut violations, &mut col))?;
+        Ok::<_, RuntimeError>((run, violations, col))
+    };
+    let (seq, mut violations, seq_col) = audited(EngineMode::Sequential)?;
+    let (par, par_violations, par_col) = audited(EngineMode::Parallel { threads: threads.max(2) })?;
 
-    let mut violations = seq.violations.clone();
-    violations.extend(validate_trace(&seq.stats, &seq.trace, net.cap_bits()));
+    let audits_diverge = par_violations != violations;
+    violations.extend(validate_trace(&seq.stats, seq_col.round_samples(), net.cap_bits()));
     if par.stats != seq.stats {
         violations.push(Violation::EngineDivergence { field: "stats" });
     }
-    if par.trace.rounds != seq.trace.rounds {
-        violations.push(Violation::EngineDivergence { field: "trace" });
+    if par_col.round_samples() != seq_col.round_samples() {
+        violations.push(Violation::EngineDivergence { field: "round samples" });
+    }
+    if (par_col.to_chrome_jsonl(), par_col.metrics_json())
+        != (seq_col.to_chrome_jsonl(), seq_col.metrics_json())
+    {
+        violations.push(Violation::EngineDivergence { field: "telemetry exports" });
     }
     if format!("{:?}", par.nodes) != format!("{:?}", seq.nodes) {
         violations.push(Violation::EngineDivergence { field: "node states" });
     }
-    if par.violations != seq.violations {
+    if audits_diverge {
         violations.push(Violation::EngineDivergence { field: "audit findings" });
     }
     Ok(Checked {
         report: ConformanceReport { violations, stats: seq.stats },
-        run: RunOutput { nodes: seq.nodes, stats: seq.stats, trace: (), violations: () },
-        trace: seq.trace,
+        run: seq,
+        telemetry: seq_col,
     })
 }
 
@@ -281,18 +307,34 @@ mod tests {
     fn validate_trace_flags_inconsistencies() {
         let g = path(5);
         let net = Network::new(&g);
-        let out = net.exec(FloodProtocol::instances(5, 0)).traced().audited().run().expect("run");
-        let mut trace = out.trace;
-        assert!(validate_trace(&out.stats, &trace, net.cap_bits()).is_empty());
-        // Tamper with the trace: each identity must catch its breach.
-        let mut miscounted = trace.clone();
-        miscounted.rounds[0].messages += 1;
+        let (mut violations, mut col) = (Vec::new(), Collector::new());
+        col.advance(7); // a prior phase: the run's stamps start at 7
+        let out =
+            net.run_with(FloodProtocol::instances(5, 0), (&mut violations, &mut col)).expect("run");
+        let mut samples = col.round_samples().to_vec();
+        assert!(violations.is_empty());
+        assert_eq!(samples[0].round, 7);
+        assert!(validate_trace(&out.stats, &samples, net.cap_bits()).is_empty());
+        // Tamper with the samples: each identity must catch its breach.
+        let mut miscounted = samples.clone();
+        miscounted[0].trace.messages += 1;
         let found = validate_trace(&out.stats, &miscounted, net.cap_bits());
         assert!(found
             .iter()
             .any(|v| matches!(v, Violation::TraceInconsistent { field: "message total", .. })));
-        trace.rounds.pop();
-        let found = validate_trace(&out.stats, &trace, net.cap_bits());
+        let mut restamped = samples.clone();
+        restamped[2].round += 1;
+        let found = validate_trace(&out.stats, &restamped, net.cap_bits());
+        assert_eq!(
+            found,
+            vec![Violation::TraceInconsistent {
+                field: "consecutive round stamps",
+                expected: 9,
+                got: 10
+            }]
+        );
+        samples.pop();
+        let found = validate_trace(&out.stats, &samples, net.cap_bits());
         assert!(found
             .iter()
             .any(|v| matches!(v, Violation::TraceInconsistent { field: "recorded rounds", .. })));

@@ -10,6 +10,9 @@
 //!   lower-bound arguments;
 //! * [`runtime`] — the synchronous round engine: per-node state machines,
 //!   per-edge bandwidth caps of `O(log n)` (qu)bits, exact round counting;
+//!   runs are observed by passing [`RunObserver`]s (an audit
+//!   `Vec<Violation>`, a [`telemetry::Collector`], or your own) to
+//!   [`Network::run_with`];
 //! * [`bfs`] — BFS trees, pipelined multi-source BFS (`O(|S| + D)`),
 //!   source eccentricities (Lemma 20), leader election;
 //! * [`tree_comm`] — pipelined register distribution and gathering over a
@@ -24,8 +27,8 @@
 //!   breach with round/edge provenance, plus a cross-engine differential
 //!   checker;
 //! * [`telemetry`] — structured, deterministic run telemetry: hierarchical
-//!   spans on the round timebase, counters/histograms, per-edge load, and
-//!   Perfetto-compatible trace export.
+//!   spans on the round timebase, counters/histograms, per-round samples,
+//!   per-edge load, and Perfetto-compatible trace export.
 //!
 //! Rounds are *measured by execution*, never computed from formulas: every
 //! protocol here is an honest message-passing state machine, and the engine
@@ -62,5 +65,5 @@ pub mod tree_comm;
 
 pub use graph::{Dist, Graph, NodeId};
 pub use runtime::{
-    Exec, Network, NodeProtocol, RoundLedger, RunObserver, RunOutput, RunStats, RuntimeError,
+    Network, NodeProtocol, RoundLedger, RunObserver, RunOutput, RunStats, RuntimeError,
 };

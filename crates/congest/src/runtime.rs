@@ -19,7 +19,7 @@
 use crate::conformance::Violation;
 use crate::faults::{Delivery, FaultPlan};
 use crate::graph::{bits_for, Graph, NodeId};
-use crate::telemetry::{Collector, Shard};
+use crate::telemetry::Shard;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -183,8 +183,8 @@ impl<'a, M: MessageSize> Ctx<'a, M> {
         self.out.extend(msgs);
     }
 
-    /// Whether this run records telemetry (i.e. it was started with
-    /// [`Exec::telemetry`] attached). Protocols can use this to skip
+    /// Whether this run records telemetry (i.e. a
+    /// [`Collector`](crate::telemetry::Collector) observes it). Protocols can use this to skip
     /// building labels for [`mark`](Self::mark) on untelemetered runs;
     /// [`count`](Self::count) and [`observe`](Self::observe) are cheap
     /// enough to call unconditionally.
@@ -230,8 +230,18 @@ pub enum RuntimeError {
     NotANeighbor { round: usize, from: NodeId, to: NodeId },
     /// The traffic on a directed edge exceeded the cap in some round.
     BandwidthExceeded { round: usize, from: NodeId, to: NodeId, bits: u64, cap: u64 },
-    /// The protocol did not terminate within the round limit.
-    RoundLimitExceeded { limit: usize },
+    /// The protocol did not terminate within the round limit. The other
+    /// fields describe the state at the limit: the last round in which a
+    /// message was sent or a delayed one matured (`None` if the run never
+    /// communicated), how many nodes were not done and the lowest-id one,
+    /// and the messages still waiting in inboxes or the delay wheel.
+    RoundLimitExceeded {
+        limit: usize,
+        last_active_round: Option<usize>,
+        not_done: usize,
+        first_not_done: Option<NodeId>,
+        in_flight: usize,
+    },
     /// The number of protocol instances does not match the node count.
     WrongNodeCount { expected: usize, got: usize },
     /// A [`Reliable`](crate::faults::Reliable) link exhausted its
@@ -248,8 +258,23 @@ impl fmt::Display for RuntimeError {
             RuntimeError::BandwidthExceeded { round, from, to, bits, cap } => {
                 write!(f, "round {round}: edge {from}->{to} carried {bits} bits, cap is {cap}")
             }
-            RuntimeError::RoundLimitExceeded { limit } => {
-                write!(f, "protocol did not terminate within {limit} rounds")
+            RuntimeError::RoundLimitExceeded {
+                limit,
+                last_active_round,
+                not_done,
+                first_not_done,
+                in_flight,
+            } => {
+                write!(f, "protocol did not terminate within {limit} rounds (last active round ")?;
+                match last_active_round {
+                    Some(r) => write!(f, "{r}")?,
+                    None => f.write_str("none")?,
+                }
+                write!(f, "; {not_done} node(s) not done")?;
+                if let Some(v) = first_not_done {
+                    write!(f, ", first {v}")?;
+                }
+                write!(f, "; {in_flight} message(s) in flight)")
             }
             RuntimeError::WrongNodeCount { expected, got } => {
                 write!(f, "expected {expected} protocol instances, got {got}")
@@ -295,7 +320,29 @@ impl RunStats {
     }
 }
 
-/// Per-round record of a traced run.
+/// One round's aggregate accounting, handed to
+/// [`RunObserver::on_round_end`] and kept by a
+/// [`Collector`](crate::telemetry::Collector) as a
+/// [`RoundSample`](crate::telemetry::RoundSample).
+///
+/// # Examples
+///
+/// ```
+/// use congest::bfs::BfsTreeProtocol;
+/// use congest::generators::path;
+/// use congest::runtime::Network;
+/// use congest::telemetry::Collector;
+///
+/// let g = path(6);
+/// let mut col = Collector::new();
+/// let out = Network::new(&g).run_with(BfsTreeProtocol::instances(6, 0), &mut col)?;
+/// let samples = col.round_samples();
+/// assert_eq!(samples.len(), out.stats.rounds);
+/// // The round with the most bits; `min_by_key` keeps the first of a tie.
+/// let peak = samples.iter().min_by_key(|s| std::cmp::Reverse(s.trace.bits)).unwrap();
+/// assert!(peak.trace.bits > 0 && peak.trace.busiest_edge.is_some());
+/// # Ok::<(), congest::runtime::RuntimeError>(())
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTrace {
     /// Messages sent this round that will be delivered (possibly late,
@@ -308,100 +355,6 @@ pub struct RoundTrace {
     pub busiest_edge: Option<(NodeId, NodeId, u64)>,
     /// Messages sent this round that fault injection discarded.
     pub dropped: u64,
-}
-
-/// A per-round congestion trace produced by [`Exec::traced`].
-///
-/// # Examples
-///
-/// ```
-/// use congest::generators::path;
-/// use congest::runtime::Network;
-/// use congest::bfs::BfsTreeProtocol;
-///
-/// let g = path(6);
-/// let net = Network::new(&g);
-/// let trace = net.exec(BfsTreeProtocol::instances(6, 0)).traced().run()?.trace;
-/// assert!(!trace.rounds.is_empty());
-/// println!("{}", trace.render(20));
-/// # Ok::<(), congest::runtime::RuntimeError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    /// One entry per executed round.
-    pub rounds: Vec<RoundTrace>,
-}
-
-impl Trace {
-    /// The round with the highest bit volume, if any traffic flowed.
-    ///
-    /// Ties are resolved to the **first** such round. This tie-break is
-    /// part of the API contract: peak rounds are compared when diffing
-    /// traces across engines and replays, so the choice must not depend
-    /// on iteration internals.
-    pub fn peak_round(&self) -> Option<(usize, &RoundTrace)> {
-        let mut best: Option<(usize, &RoundTrace)> = None;
-        for (i, r) in self.rounds.iter().enumerate() {
-            if best.is_none_or(|(_, b): (usize, &RoundTrace)| r.bits > b.bits) {
-                best = Some((i, r));
-            }
-        }
-        best.filter(|(_, r)| r.bits > 0)
-    }
-
-    /// Total delivered bits.
-    pub fn total_bits(&self) -> u64 {
-        self.rounds.iter().map(|r| r.bits).sum()
-    }
-
-    /// Render an ASCII bit-volume histogram, `width` columns.
-    ///
-    /// Output is bounded: traces with at most `width` rounds get one
-    /// exact line per round; longer traces are bucketed into at most
-    /// `width` contiguous round groups (each line sums its group's bits
-    /// and messages), so an 18 000-round trace renders in `width` lines
-    /// instead of 18 000.
-    pub fn render(&self, width: usize) -> String {
-        let width = width.max(1);
-        let mut out = String::new();
-        if self.rounds.len() <= width {
-            let max = self.rounds.iter().map(|r| r.bits).max().unwrap_or(0).max(1);
-            for (i, r) in self.rounds.iter().enumerate() {
-                let bar = (r.bits * width as u64 / max) as usize;
-                out.push_str(&format!(
-                    "round {i:>4} | {:<width$} | {:>6} bits, {:>4} msgs\n",
-                    "#".repeat(bar),
-                    r.bits,
-                    r.messages,
-                    width = width
-                ));
-            }
-            return out;
-        }
-        let per = self.rounds.len().div_ceil(width);
-        let groups: Vec<(usize, usize, u64, u64)> = self
-            .rounds
-            .chunks(per)
-            .enumerate()
-            .map(|(g, chunk)| {
-                let start = g * per;
-                let end = start + chunk.len() - 1;
-                let bits: u64 = chunk.iter().map(|r| r.bits).sum();
-                let msgs: u64 = chunk.iter().map(|r| r.messages).sum();
-                (start, end, bits, msgs)
-            })
-            .collect();
-        let max = groups.iter().map(|&(_, _, b, _)| b).max().unwrap_or(0).max(1);
-        for (start, end, bits, msgs) in groups {
-            let bar = (bits * width as u64 / max) as usize;
-            out.push_str(&format!(
-                "rounds {start:>5}-{end:<5} | {:<width$} | {bits:>8} bits, {msgs:>6} msgs\n",
-                "#".repeat(bar),
-                width = width
-            ));
-        }
-        out
-    }
 }
 
 /// How the engine executes each round's `on_round` calls.
@@ -547,9 +500,8 @@ impl<'g> Network<'g> {
     /// Scheduling follows [`with_engine`](Self::with_engine); every mode
     /// yields bit-identical results. Protocols that cannot satisfy the
     /// `Send`/`Sync` bounds can always use
-    /// [`run_sequential`](Self::run_sequential). To record traces,
-    /// violations, or telemetry alongside the run, use the
-    /// [`exec`](Self::exec) builder.
+    /// [`run_sequential`](Self::run_sequential). To record violations or
+    /// telemetry alongside the run, use [`run_with`](Self::run_with).
     ///
     /// # Errors
     ///
@@ -563,38 +515,44 @@ impl<'g> Network<'g> {
         self.run_with(nodes, ())
     }
 
-    /// Start building an observed run.
+    /// [`run`](Self::run) with a caller-supplied [`RunObserver`] pipeline.
     ///
-    /// `net.exec(nodes)` followed by any combination of
-    /// [`traced`](Exec::traced), [`audited`](Exec::audited), and
-    /// [`telemetry`](Exec::telemetry), finished with [`run`](Exec::run)
-    /// (or [`run_sequential`](Exec::run_sequential) for protocols whose
-    /// state is not `Send`), returns a typed [`RunOutput`] carrying
-    /// exactly the artifacts that were requested.
+    /// The two built-in observers and any custom observer compose with
+    /// nested `(A, B)` tuples:
+    ///
+    /// * `&mut Vec<Violation>` runs in *audit mode*: model breaches
+    ///   (bandwidth-cap overflow, non-neighbor sends) are recorded as
+    ///   [`Violation`]s with round/edge provenance instead of aborting the
+    ///   run, in deterministic (round, then sender) order under every
+    ///   engine. Audited cap overflows still deliver their message; audited
+    ///   non-neighbor sends are discarded (there is no edge to carry them).
+    ///   This is the substrate of [`conformance`](crate::conformance).
+    /// * `&mut Collector` records per-round samples, per-edge cumulative
+    ///   load, and the marks/counters/histograms the protocol emits through
+    ///   [`Ctx::mark`]/[`Ctx::count`]/[`Ctx::observe`]. The run opens no
+    ///   span (callers bracket it with
+    ///   [`Collector::enter`](crate::telemetry::Collector::enter) and
+    ///   `exit`), and the collector's cursor advances by the run's measured
+    ///   rounds. Its exports are byte-identical under every
+    ///   [`EngineMode`] (see the [`telemetry`](crate::telemetry) docs).
     ///
     /// # Examples
     ///
     /// ```
+    /// use congest::bfs::BfsTreeProtocol;
+    /// use congest::conformance::Violation;
     /// use congest::generators::path;
     /// use congest::runtime::Network;
-    /// use congest::bfs::BfsTreeProtocol;
+    /// use congest::telemetry::Collector;
     ///
     /// let g = path(6);
     /// let net = Network::new(&g);
-    /// let out = net.exec(BfsTreeProtocol::instances(6, 0)).traced().run()?;
-    /// assert_eq!(out.trace.rounds.len(), out.stats.rounds);
+    /// let (mut violations, mut col) = (Vec::<Violation>::new(), Collector::new());
+    /// let out = net.run_with(BfsTreeProtocol::instances(6, 0), (&mut violations, &mut col))?;
+    /// assert!(violations.is_empty());
+    /// assert_eq!(col.round_samples().len(), out.stats.rounds);
     /// # Ok::<(), congest::runtime::RuntimeError>(())
     /// ```
-    pub fn exec<P: NodeProtocol>(&self, nodes: Vec<P>) -> Exec<'_, 'g, P> {
-        Exec { net: self, nodes, trace: (), audit: (), tel: () }
-    }
-
-    /// [`run`](Self::run) with a caller-supplied [`RunObserver`] pipeline.
-    ///
-    /// This is the generic substrate under [`exec`](Self::exec): the three
-    /// built-in observers (`&mut Trace`, `&mut Vec<Violation>`,
-    /// `&mut Collector`) and any custom observer compose with nested
-    /// `(A, B)` tuples.
     ///
     /// # Errors
     ///
@@ -839,18 +797,24 @@ impl<'g> Network<'g> {
             if core.quiescent() && nodes.iter().all(|p| p.is_done()) {
                 core.stats.rounds = core.last_active_round;
                 obs.on_finish(&core.stats);
-                return Ok(RunOutput { nodes, stats: core.stats, trace: (), violations: () });
+                return Ok(RunOutput { nodes, stats: core.stats });
             }
             core.advance();
         }
-        Err(RuntimeError::RoundLimitExceeded { limit: self.max_rounds })
+        Err(RuntimeError::RoundLimitExceeded {
+            limit: self.max_rounds,
+            last_active_round: core.last_active_round.checked_sub(1),
+            not_done: nodes.iter().filter(|p| !p.is_done()).count(),
+            first_not_done: nodes.iter().position(|p| !p.is_done()),
+            in_flight: core.in_flight(),
+        })
     }
 }
 
 /// Hooks into the execution core, composable into a pipeline.
 ///
-/// One observer pipeline is attached per run (via the [`Exec`] builder or
-/// [`Network::run_with`]); the engine invokes the hooks at fixed points of
+/// One observer pipeline is attached per run (via [`Network::run_with`] or
+/// [`Network::run_sequential_with`]); the engine invokes the hooks at fixed points of
 /// its single round loop, identically under every [`EngineMode`]:
 ///
 /// * [`on_round_start`](Self::on_round_start) — before any `on_round` call
@@ -873,8 +837,8 @@ impl<'g> Network<'g> {
 /// Every hook has a no-op default, `()` is the empty pipeline, and two
 /// pipelines compose as an `(A, B)` tuple — so a disabled concern costs
 /// one statically known untaken branch and `net.run(..)` monomorphizes to
-/// the bare engine. The three built-in observers are `&mut Trace`,
-/// `&mut Vec<Violation>` (audit), and `&mut Collector` (telemetry).
+/// the bare engine. The two built-in observers are `&mut Vec<Violation>`
+/// (audit) and `&mut Collector` (telemetry).
 pub trait RunObserver {
     /// Whether model breaches should be recorded through
     /// [`on_violation`](Self::on_violation) instead of aborting the run.
@@ -973,19 +937,6 @@ impl<A: RunObserver, B: RunObserver> RunObserver for (A, B) {
     }
 }
 
-/// The tracing observer: records one [`RoundTrace`] per executed round and
-/// truncates trailing quiet rounds to the measured round count on finish
-/// (the single place that fixup happens).
-impl RunObserver for &mut Trace {
-    fn on_round_end(&mut self, _round: usize, trace: RoundTrace, _shard: &mut Shard) {
-        self.rounds.push(trace);
-    }
-
-    fn on_finish(&mut self, stats: &RunStats) {
-        self.rounds.truncate(stats.rounds);
-    }
-}
-
 /// The audit observer: switches the engine into audit mode and collects
 /// every [`Violation`] in deterministic (round, then sender) order.
 impl RunObserver for &mut Vec<Violation> {
@@ -998,191 +949,14 @@ impl RunObserver for &mut Vec<Violation> {
     }
 }
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for () {}
-    impl Sealed for super::Trace {}
-    impl Sealed for Vec<super::Violation> {}
-    impl Sealed for &mut crate::telemetry::Collector {}
-}
-
-/// A slot of the [`Exec`] builder: either `()` (absent) or an owned
-/// artifact (a [`Trace`], a `Vec<Violation>`, a borrowed
-/// [`Collector`]) that lends itself out as the matching built-in
-/// [`RunObserver`] for the duration of the run. Sealed; the slot types are
-/// fixed by the builder methods.
-pub trait ObserverSlot: sealed::Sealed {
-    /// The observer this slot lends while the run executes.
-    type Obs<'a>: RunObserver
-    where
-        Self: 'a;
-
-    /// Borrow the slot as a live observer.
-    fn observer(&mut self) -> Self::Obs<'_>;
-}
-
-impl ObserverSlot for () {
-    type Obs<'a> = ();
-    fn observer(&mut self) -> Self::Obs<'_> {}
-}
-
-impl ObserverSlot for Trace {
-    type Obs<'a> = &'a mut Trace;
-    fn observer(&mut self) -> Self::Obs<'_> {
-        self
-    }
-}
-
-impl ObserverSlot for Vec<Violation> {
-    type Obs<'a> = &'a mut Vec<Violation>;
-    fn observer(&mut self) -> Self::Obs<'_> {
-        self
-    }
-}
-
-impl ObserverSlot for &mut Collector {
-    type Obs<'a>
-        = &'a mut Collector
-    where
-        Self: 'a;
-    fn observer(&mut self) -> Self::Obs<'_> {
-        self
-    }
-}
-
-/// A configured-but-not-yet-started run, created by [`Network::exec`].
-///
-/// The type parameters track which artifacts were requested: each of
-/// [`traced`](Self::traced), [`audited`](Self::audited), and
-/// [`telemetry`](Self::telemetry) fills its slot (callable once, enforced
-/// at compile time), and [`run`](Self::run) /
-/// [`run_sequential`](Self::run_sequential) return a [`RunOutput`] typed
-/// by the filled slots.
-pub struct Exec<'n, 'g, P, T = (), A = (), C = ()> {
-    net: &'n Network<'g>,
-    nodes: Vec<P>,
-    trace: T,
-    audit: A,
-    tel: C,
-}
-
-impl<P, T, A, C> fmt::Debug for Exec<'_, '_, P, T, A, C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Exec").field("nodes", &self.nodes.len()).finish_non_exhaustive()
-    }
-}
-
-impl<'n, 'g, P, A, C> Exec<'n, 'g, P, (), A, C> {
-    /// Record a per-round [`Trace`] — message/bit counts and the busiest
-    /// edge of every round — for congestion analysis and debugging. The
-    /// trace is returned as [`RunOutput::trace`].
-    pub fn traced(self) -> Exec<'n, 'g, P, Trace, A, C> {
-        Exec {
-            net: self.net,
-            nodes: self.nodes,
-            trace: Trace::default(),
-            audit: self.audit,
-            tel: self.tel,
-        }
-    }
-}
-
-impl<'n, 'g, P, T, C> Exec<'n, 'g, P, T, (), C> {
-    /// Run in *audit mode*: model breaches (bandwidth-cap overflow,
-    /// non-neighbor sends) are recorded as [`Violation`]s with round/edge
-    /// provenance instead of aborting the run, and every breach is
-    /// reported rather than just the first.
-    ///
-    /// Audited cap overflows still deliver their message; audited
-    /// non-neighbor sends are discarded (there is no edge to carry them).
-    /// The findings are returned as [`RunOutput::violations`], in
-    /// deterministic (round, then sender) order under every engine. This
-    /// is the substrate of [`conformance`](crate::conformance).
-    pub fn audited(self) -> Exec<'n, 'g, P, T, Vec<Violation>, C> {
-        Exec {
-            net: self.net,
-            nodes: self.nodes,
-            trace: self.trace,
-            audit: Vec::new(),
-            tel: self.tel,
-        }
-    }
-}
-
-impl<'n, 'g, P, T, A> Exec<'n, 'g, P, T, A, ()> {
-    /// Record structured telemetry into `tel`: per-round samples, per-edge
-    /// cumulative load, and any marks/counters/histograms the protocol
-    /// emits through [`Ctx::mark`]/[`Ctx::count`]/[`Ctx::observe`]. The
-    /// run is wrapped in no span — callers typically bracket it with
-    /// [`Collector::enter`]/[`Collector::exit`]; the collector's cursor
-    /// advances by the run's measured rounds.
-    ///
-    /// Recording is deterministic: the same run produces byte-identical
-    /// collector exports under every [`EngineMode`] (see the
-    /// [`telemetry`](crate::telemetry) module docs for the contract).
-    pub fn telemetry<'c>(self, tel: &'c mut Collector) -> Exec<'n, 'g, P, T, A, &'c mut Collector> {
-        Exec { net: self.net, nodes: self.nodes, trace: self.trace, audit: self.audit, tel }
-    }
-}
-
-impl<P, T, A, C> Exec<'_, '_, P, T, A, C>
-where
-    P: NodeProtocol,
-    T: ObserverSlot,
-    A: ObserverSlot,
-    C: ObserverSlot,
-{
-    /// Execute the run under the configured [`EngineMode`] (like
-    /// [`Network::run`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::run`], except that when [`audited`](Self::audited)
-    /// was requested, model breaches become [`RunOutput::violations`]
-    /// instead of errors.
-    pub fn run(self) -> Result<RunOutput<P, T, A>, RuntimeError>
-    where
-        P: Send,
-        P::Msg: Send + Sync,
-    {
-        let Exec { net, nodes, mut trace, mut audit, mut tel } = self;
-        let run = net.run_with(nodes, ((trace.observer(), audit.observer()), tel.observer()))?;
-        Ok(RunOutput { nodes: run.nodes, stats: run.stats, trace, violations: audit })
-    }
-
-    /// Execute the run on the single-threaded engine, regardless of the
-    /// configured [`EngineMode`] — the only builder entry point for
-    /// protocols whose state is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_sequential(self) -> Result<RunOutput<P, T, A>, RuntimeError> {
-        let Exec { net, nodes, mut trace, mut audit, mut tel } = self;
-        let run =
-            net.run_sequential_with(nodes, ((trace.observer(), audit.observer()), tel.observer()))?;
-        Ok(RunOutput { nodes: run.nodes, stats: run.stats, trace, violations: audit })
-    }
-}
-
-/// The result of every run: final node states and statistics, plus the
-/// artifacts a built run (see [`Network::exec`]) requested.
-///
-/// `trace` and `violations` are typed by the builder calls that requested
-/// them: `()` when not requested (always so for [`Network::run`] and its
-/// siblings), a [`Trace`] after [`Exec::traced`], a `Vec<Violation>` after
-/// [`Exec::audited`]. Telemetry is written into the borrowed [`Collector`]
-/// and does not appear here.
+/// The result of every run: final node states and statistics. Observers
+/// ([`Network::run_with`]) keep their own records.
 #[derive(Debug)]
-pub struct RunOutput<P, T = (), A = ()> {
+pub struct RunOutput<P> {
     /// Final per-node protocol states, indexed by [`NodeId`].
     pub nodes: Vec<P>,
     /// Measured statistics.
     pub stats: RunStats,
-    /// Per-round congestion trace ([`Exec::traced`]), else `()`.
-    pub trace: T,
-    /// Audit findings in deterministic order ([`Exec::audited`]), else `()`.
-    pub violations: A,
 }
 
 /// Engine-agnostic state of one run: the inbox double-buffer, the delay
@@ -1302,6 +1076,13 @@ impl<M: MessageSize> ExecCore<M> {
     /// delay wheel are empty).
     fn quiescent(&self) -> bool {
         !self.next_inboxes.iter().any(|b| !b.is_empty()) && self.wheel.is_empty()
+    }
+
+    /// Messages not yet consumed by an `on_round` call: both inbox
+    /// buffers plus the delay wheel. Only the round-limit error reads it.
+    fn in_flight(&self) -> usize {
+        let inboxes: usize = self.inboxes.iter().chain(&self.next_inboxes).map(Vec::len).sum();
+        inboxes + self.wheel.slots.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Swap the inbox double-buffer for the next round.
@@ -1671,6 +1452,7 @@ impl RoundLedger {
 mod tests {
     use super::*;
     use crate::generators::{path, star};
+    use crate::telemetry::Collector;
 
     /// A flood protocol: node 0 emits a token; everyone forwards it once.
     #[derive(Debug)]
@@ -1841,7 +1623,21 @@ mod tests {
         }
         let g = path(2);
         let err = Network::new(&g).with_round_limit(10).run(vec![Forever, Forever]).unwrap_err();
-        assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 10 });
+        assert_eq!(
+            err,
+            RuntimeError::RoundLimitExceeded {
+                limit: 10,
+                last_active_round: Some(9),
+                not_done: 2,
+                first_not_done: Some(0),
+                in_flight: 2,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "protocol did not terminate within 10 rounds (last active round 9; \
+             2 node(s) not done, first 0; 2 message(s) in flight)"
+        );
     }
 
     #[test]
@@ -1867,28 +1663,39 @@ mod tests {
         assert_eq!(run.stats.rounds, 0);
     }
 
+    /// `nodes` run under `net` with a fresh collector attached.
+    fn collected<P>(net: &Network<'_>, nodes: Vec<P>) -> (RunOutput<P>, Collector)
+    where
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync,
+    {
+        let mut col = Collector::new();
+        let out = net.run_with(nodes, &mut col).unwrap();
+        (out, col)
+    }
+
     #[test]
     fn traced_run_matches_plain_run() {
         let g = path(6);
         let net = Network::new(&g);
         let plain = net.run(flood_nodes(6)).unwrap();
-        let traced = net.exec(flood_nodes(6)).traced().run().unwrap();
-        let trace = traced.trace;
+        let (traced, col) = collected(&net, flood_nodes(6));
+        let samples = col.round_samples();
         assert_eq!(plain.stats, traced.stats);
-        assert_eq!(trace.rounds.len(), traced.stats.rounds);
-        assert_eq!(trace.total_bits(), traced.stats.total_bits);
-        let (peak_round, peak) = trace.peak_round().unwrap();
-        assert!(peak.bits >= 1 && peak_round < trace.rounds.len());
-        assert!(trace.render(10).contains("round"));
+        assert_eq!(samples.len(), traced.stats.rounds);
+        assert_eq!(samples.iter().map(|s| s.trace.bits).sum::<u64>(), traced.stats.total_bits);
+        assert!(samples.iter().enumerate().all(|(i, s)| s.round == i as u64 && s.trace.bits >= 1));
+        assert!(col.render(10).contains("edge load heatmap"));
     }
 
     #[test]
     fn trace_busiest_edge_within_cap() {
         let g = star(8);
         let net = Network::new(&g);
-        let trace = net.exec(flood_nodes(8)).traced().run().unwrap().trace;
-        for r in &trace.rounds {
-            if let Some((_, _, bits)) = r.busiest_edge {
+        let (_, col) = collected(&net, flood_nodes(8));
+        assert!(!col.round_samples().is_empty());
+        for s in col.round_samples() {
+            if let Some((_, _, bits)) = s.trace.busiest_edge {
                 assert!(bits <= net.cap_bits());
             }
         }
@@ -1896,51 +1703,63 @@ mod tests {
 
     #[test]
     fn trace_render_output_is_bounded() {
-        // E6-sized traces (~18k rounds) must render in at most `width`
-        // lines, not one line per round.
-        let mut trace = Trace::default();
-        for i in 0..18_000u64 {
-            trace.rounds.push(RoundTrace {
-                messages: 1 + i % 7,
-                bits: 8 + i % 129,
-                busiest_edge: None,
-                dropped: 0,
-            });
+        // An E6-sized run (18k rounds) keeps one sample per round but
+        // renders a report whose length does not grow with the rounds.
+        struct PingPong {
+            left: usize,
         }
-        let rendered = trace.render(40);
-        assert!(rendered.lines().count() <= 40, "{} lines", rendered.lines().count());
-        assert!(rendered.contains("rounds "));
-        // The grouped lines still account for every bit and message.
-        let bits_sum: u64 = rendered
-            .lines()
-            .map(|l| {
-                let tail = l.split('|').nth(2).unwrap();
-                tail.split_whitespace().next().unwrap().parse::<u64>().unwrap()
-            })
-            .sum();
-        assert_eq!(bits_sum, trace.total_bits());
-        // Small traces keep the exact per-round form.
-        let mut small = Trace::default();
-        for _ in 0..5 {
-            small.rounds.push(RoundTrace { messages: 1, bits: 4, ..Default::default() });
+        impl NodeProtocol for PingPong {
+            type Msg = Token;
+            fn on_round(&mut self, ctx: &mut Ctx<'_, Token>, _inbox: &[(NodeId, Token)]) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.broadcast(Token);
+                }
+            }
+            fn is_done(&self) -> bool {
+                self.left == 0
+            }
         }
-        let rendered = small.render(40);
-        assert_eq!(rendered.lines().count(), 5);
-        assert!(rendered.contains("round    0 |"));
+        let g = path(3);
+        let net = Network::new(&g);
+        let (out, mut col) = collected(&net, (0..3).map(|_| PingPong { left: 18_000 }).collect());
+        assert_eq!(out.stats.rounds, 18_000);
+        assert_eq!(col.round_samples().len(), 18_000);
+        col.enter("ping-pong");
+        col.exit();
+        let rendered = col.render(40);
+        assert!(rendered.lines().count() <= 20, "{rendered}");
+        assert!(rendered.contains("edge load heatmap (top 40 of 4 edges"));
+        // The heatmap still accounts for every bit.
+        let bits_sum: u64 = col.edge_loads().values().sum();
+        assert_eq!(bits_sum, out.stats.total_bits);
     }
 
     #[test]
     fn peak_round_ties_break_to_first() {
-        let mut trace = Trace::default();
-        for bits in [3u64, 9, 1, 9, 2] {
-            trace.rounds.push(RoundTrace { messages: 1, bits, ..Default::default() });
+        // Nodes 3..8 each send one equal-size message in round 0, spread
+        // over several parallel lanes; the round's busiest edge must pin to
+        // the lowest sender under every engine.
+        struct Once;
+        impl NodeProtocol for Once {
+            type Msg = Big;
+            fn on_round(&mut self, ctx: &mut Ctx<'_, Big>, _inbox: &[(NodeId, Big)]) {
+                if ctx.round() == 0 && ctx.me() >= 3 {
+                    ctx.send(ctx.neighbors()[0], Big(3));
+                }
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
         }
-        let (idx, peak) = trace.peak_round().unwrap();
-        assert_eq!(idx, 1, "tie between rounds 1 and 3 must pin to the first");
-        assert_eq!(peak.bits, 9);
-        // All-quiet traces report no peak.
-        let quiet = Trace { rounds: vec![RoundTrace::default(); 4] };
-        assert!(quiet.peak_round().is_none());
+        let g = path(8);
+        for engine in [EngineMode::Sequential, EngineMode::Parallel { threads: 4 }] {
+            let net = Network::new(&g).with_engine(engine);
+            let (_, col) = collected(&net, (0..8).map(|_| Once).collect());
+            let busiest: Vec<_> =
+                col.round_samples().iter().map(|s| s.trace.busiest_edge).collect();
+            assert_eq!(busiest, vec![Some((3, 2, 3))], "{engine:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Structured, deterministic telemetry for protocol runs.
 //!
-//! The flat per-round [`Trace`](crate::runtime::Trace) answers *how much*
-//! a run cost; this module answers *where* the cost went. A [`Collector`]
-//! records
+//! A [`Collector`] is the one record of an observed run: it answers both
+//! *how much* a run cost and *where* the cost went. It records
 //!
 //! * **spans** — a hierarchy of named intervals (protocol → phase → batch)
 //!   measured on the round-index timebase, entered either by drivers
@@ -13,8 +12,9 @@
 //!   distributions, bumped by drivers or by protocols through
 //!   [`Ctx::count`](crate::runtime::Ctx::count) /
 //!   [`Ctx::observe`](crate::runtime::Ctx::observe);
-//! * **per-round samples** — the engine's message/bit/drop accounting,
-//!   subsuming [`RoundTrace`], each stamped with its absolute round index;
+//! * **per-round samples** — the engine's [`RoundTrace`] (messages, bits,
+//!   drops, busiest edge) of every round, stamped with its absolute round
+//!   index;
 //! * **per-edge cumulative load** — total (qu)bits offered per directed
 //!   edge, for congestion heatmaps;
 //! * **marks** — instant per-node events emitted by protocols via
@@ -35,8 +35,9 @@
 //!
 //! # Overhead when disabled
 //!
-//! Telemetry is off unless a run attaches a collector via
-//! [`Exec::telemetry`](crate::runtime::Exec::telemetry): without one the
+//! Telemetry is off unless a run attaches a collector as its observer
+//! (`net.run_with(nodes, &mut col)`, see
+//! [`Network::run_with`](crate::runtime::Network::run_with)): without one the
 //! engine passes a `None` sink, so the only cost is one untaken branch per
 //! routed sender and a null field in each per-round context — nothing is
 //! allocated and no string is formatted.
@@ -76,7 +77,7 @@ pub struct Span {
 pub struct RoundSample {
     /// Absolute round index on the collector's timebase.
     pub round: u64,
-    /// The round's accounting (same shape as a traced run's entry).
+    /// The round's accounting.
     pub trace: RoundTrace,
 }
 
@@ -159,41 +160,10 @@ pub struct Shard {
     pub(crate) edges: Vec<(NodeId, NodeId, u64)>,
 }
 
-/// The recording surface shared by telemetry sinks.
-///
-/// [`Collector`] is the concrete implementation used throughout the repo;
-/// the trait exists so drivers that only *record* (spans, counters,
-/// histograms, round advances) can be written against the interface and
-/// tested with lightweight fakes, without committing to the collector's
-/// storage or export formats.
-pub trait Recorder {
-    /// Open a span at the current position on the round timebase.
-    fn enter(&mut self, name: &str);
-    /// Close the innermost open span.
-    fn exit(&mut self);
-    /// Advance the round timebase by `rounds`.
-    fn advance(&mut self, rounds: u64);
-    /// Add `v` to the named counter.
-    fn add(&mut self, name: &str, v: u64);
-    /// Record one observation in the named histogram.
-    fn observe(&mut self, name: &str, v: u64);
-
-    /// Record a completed phase as a leaf span covering `stats.rounds`
-    /// rounds, folding its totals into the standard `engine.*` counters.
-    fn record_run(&mut self, name: &str, stats: &RunStats) {
-        self.enter(name);
-        self.advance(stats.rounds as u64);
-        self.add("engine.messages", stats.messages);
-        self.add("engine.bits", stats.total_bits);
-        self.add("engine.dropped", stats.dropped);
-        self.exit();
-    }
-}
-
 /// The telemetry observer: enables shard staging in the engine and folds
 /// each round's accounting + shard contents into the collector, advancing
-/// its cursor by the run's measured rounds on finish. Attached by
-/// [`Exec::telemetry`](crate::runtime::Exec::telemetry).
+/// its cursor by the run's measured rounds on finish. Attach it with
+/// `net.run_with(nodes, &mut col)`.
 impl RunObserver for &mut Collector {
     fn collects_telemetry(&self) -> bool {
         true
@@ -211,24 +181,6 @@ impl RunObserver for &mut Collector {
 
     fn on_finish(&mut self, stats: &RunStats) {
         self.finish_engine_run(stats);
-    }
-}
-
-impl Recorder for Collector {
-    fn enter(&mut self, name: &str) {
-        Collector::enter(self, name);
-    }
-    fn exit(&mut self) {
-        Collector::exit(self);
-    }
-    fn advance(&mut self, rounds: u64) {
-        Collector::advance(self, rounds);
-    }
-    fn add(&mut self, name: &str, v: u64) {
-        Collector::add(self, name, v);
-    }
-    fn observe(&mut self, name: &str, v: u64) {
-        Collector::observe(self, name, v);
     }
 }
 
@@ -428,9 +380,9 @@ impl Collector {
     }
 
     /// End an instrumented engine run that measured `rounds` rounds:
-    /// trailing quiet samples are truncated (mirroring
-    /// [`Trace`](crate::runtime::Trace)'s truncation) and the cursor
-    /// advances, folding the run's totals into the counters.
+    /// trailing quiet samples are truncated, so the run keeps exactly one
+    /// sample per measured round, and the cursor advances, folding the
+    /// run's totals into the counters.
     pub(crate) fn finish_engine_run(&mut self, stats: &RunStats) {
         let end = self.cursor + stats.rounds as u64;
         self.rounds.retain(|s| s.round < end);

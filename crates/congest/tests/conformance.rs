@@ -133,12 +133,9 @@ fn audited_run_reports_every_breach_not_just_the_first() {
     }
     let g = star(8);
     let net = Network::new(&g);
-    let violations = net
-        .exec((0..8).map(|_| MultiHog { done: false }).collect::<Vec<_>>())
-        .audited()
-        .run()
-        .expect("audited run")
-        .violations;
+    let mut violations = Vec::new();
+    net.run_with((0..8).map(|_| MultiHog { done: false }).collect::<Vec<_>>(), &mut violations)
+        .expect("audited run");
     let caps = violations.iter().filter(|v| matches!(v, Violation::CapExceeded { .. })).count();
     assert_eq!(caps, 3, "expected one violation per hog: {violations:?}");
     // Plain mode errors instead.
@@ -208,29 +205,27 @@ fn audit_findings_are_element_wise_identical_across_engines() {
             Some(p) => Network::new(&g).with_faults(p.clone()),
             None => Network::new(&g),
         };
+        let mut seq_violations = Vec::new();
         let seq = base
             .clone()
             .with_engine(EngineMode::Sequential)
-            .exec(make())
-            .audited()
-            .run()
+            .run_with(make(), &mut seq_violations)
             .expect("sequential audited run");
-        assert!(!seq.violations.is_empty(), "the probe protocol must actually misbehave");
+        assert!(!seq_violations.is_empty(), "the probe protocol must actually misbehave");
         for threads in [2usize, 3, 7] {
+            let mut par_violations = Vec::new();
             let par = base
                 .clone()
                 .with_engine(EngineMode::Parallel { threads })
-                .exec(make())
-                .audited()
-                .run()
+                .run_with(make(), &mut par_violations)
                 .expect("parallel audited run");
             assert_eq!(
-                par.violations.len(),
-                seq.violations.len(),
+                par_violations.len(),
+                seq_violations.len(),
                 "faulted={}: violation count diverged at {threads} threads",
                 plan.is_some()
             );
-            for (i, (s, p)) in seq.violations.iter().zip(&par.violations).enumerate() {
+            for (i, (s, p)) in seq_violations.iter().zip(&par_violations).enumerate() {
                 assert_eq!(
                     s,
                     p,

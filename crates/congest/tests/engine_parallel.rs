@@ -1,7 +1,8 @@
 //! The parallel engine's contract: for any protocol, topology, and thread
 //! count, runs under `EngineMode::Parallel` produce results
 //! byte-identical to the single-threaded reference engine — statistics,
-//! per-round traces, and the full final node states.
+//! per-round samples, whole telemetry exports (per-edge loads and marks
+//! included), and the full final node states.
 //!
 //! Node states are compared through their `Debug` rendering, which covers
 //! every field of every protocol without requiring `PartialEq` on them.
@@ -10,7 +11,8 @@ use congest::aggregate::{AggregateBatchProtocol, CommOp};
 use congest::bfs::{BfsTreeProtocol, TreeView};
 use congest::generators::{grid, path, random_connected_m, star};
 use congest::graph::Graph;
-use congest::runtime::{EngineMode, Network, NodeProtocol, RuntimeError};
+use congest::runtime::{EngineMode, Network, NodeProtocol, RunOutput, RuntimeError};
+use congest::telemetry::Collector;
 use congest::tree_comm::{BroadcastRegisterProtocol, Register, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,9 +25,21 @@ fn topologies(seed: u64) -> Vec<(String, Graph)> {
     ]
 }
 
+/// `nodes` run under `net` with a fresh collector attached.
+fn collected<P>(net: &Network<'_>, nodes: Vec<P>) -> (RunOutput<P>, Collector)
+where
+    P: NodeProtocol + Send,
+    P::Msg: Send + Sync,
+{
+    let mut col = Collector::new();
+    let out = net.run_with(nodes, &mut col).expect("collected run");
+    (out, col)
+}
+
 /// Run `make()`'s protocol set sequentially and under 2- and 5-thread
 /// parallel engines on copies of `base` (keeping its bandwidth, limits,
-/// and fault plan), asserting identical stats, traces, and node states.
+/// and fault plan), asserting identical stats, round samples, telemetry
+/// exports, and node states.
 fn assert_engines_agree_on<P, F>(label: &str, base: &Network<'_>, make: F)
 where
     P: NodeProtocol + Send + std::fmt::Debug,
@@ -33,16 +47,28 @@ where
     F: Fn(&Network<'_>) -> Vec<P>,
 {
     let reference = base.clone().with_engine(EngineMode::Sequential);
+    let mut ref_col = Collector::new();
     let ref_out =
-        reference.exec(make(&reference)).traced().run_sequential().expect("reference run");
+        reference.run_sequential_with(make(&reference), &mut ref_col).expect("reference run");
     let ref_states = format!("{:?}", ref_out.nodes);
     for threads in [2usize, 5] {
         let net = base.clone().with_engine(EngineMode::Parallel { threads });
-        let out = net.exec(make(&net)).traced().run().expect("parallel run");
+        let (out, col) = collected(&net, make(&net));
         assert_eq!(out.stats, ref_out.stats, "{label}: stats diverged at {threads} threads");
         assert_eq!(
-            out.trace.rounds, ref_out.trace.rounds,
-            "{label}: trace diverged at {threads} threads"
+            col.round_samples(),
+            ref_col.round_samples(),
+            "{label}: round samples diverged at {threads} threads"
+        );
+        assert_eq!(
+            col.to_chrome_jsonl(),
+            ref_col.to_chrome_jsonl(),
+            "{label}: trace export diverged at {threads} threads"
+        );
+        assert_eq!(
+            col.metrics_json(),
+            ref_col.metrics_json(),
+            "{label}: metrics export diverged at {threads} threads"
         );
         assert_eq!(
             format!("{:?}", out.nodes),
@@ -131,19 +157,20 @@ fn traced_and_untraced_runs_report_identical_stats() {
         let net = Network::new(&g);
         let n = g.n();
         let plain = net.run(BfsTreeProtocol::instances(n, 0)).expect("plain");
-        let traced = net.exec(BfsTreeProtocol::instances(n, 0)).traced().run().expect("traced");
-        let trace = &traced.trace;
+        let (traced, col) = collected(&net, BfsTreeProtocol::instances(n, 0));
+        let samples = col.round_samples();
         assert_eq!(plain.stats, traced.stats, "{name}: tracing changed the run statistics");
         assert_eq!(
-            trace.total_bits(),
+            samples.iter().map(|s| s.trace.bits).sum::<u64>(),
             traced.stats.total_bits,
-            "{name}: trace accounts bits differently than the stats"
+            "{name}: samples account bits differently than the stats"
         );
         assert_eq!(
-            trace.rounds.iter().map(|r| r.messages).sum::<u64>(),
+            samples.iter().map(|s| s.trace.messages).sum::<u64>(),
             traced.stats.messages,
-            "{name}: trace accounts messages differently than the stats"
+            "{name}: samples account messages differently than the stats"
         );
+        assert_eq!(samples.len(), traced.stats.rounds, "{name}: one sample per round");
     }
 }
 

@@ -8,9 +8,11 @@ use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::{grid, path, random_connected_m};
 use congest::graph::Graph;
 use congest::runtime::{Ctx, EngineMode, MessageSize, Network, NodeProtocol, RuntimeError};
+use congest::telemetry::Collector;
 
 /// Run the same faulted protocol on the sequential engine and on 2-, 3-,
-/// and 5-thread parallel engines; all observables must be bit-identical.
+/// and 5-thread parallel engines; all observables — stats, round samples,
+/// whole telemetry exports, node states — must be bit-identical.
 fn assert_faulted_engines_agree<P, F>(label: &str, g: &Graph, plan: &FaultPlan, make: F)
 where
     P: NodeProtocol + Send + std::fmt::Debug,
@@ -18,16 +20,24 @@ where
     F: Fn() -> Vec<P>,
 {
     let reference = Network::new(g).with_faults(plan.clone());
-    let ref_out = reference.exec(make()).traced().run_sequential().expect("reference run");
+    let mut ref_col = Collector::new();
+    let ref_out = reference.run_sequential_with(make(), &mut ref_col).expect("reference run");
     let ref_states = format!("{:?}", ref_out.nodes);
     for threads in [2usize, 3, 5] {
         let net =
             Network::new(g).with_faults(plan.clone()).with_engine(EngineMode::Parallel { threads });
-        let out = net.exec(make()).traced().run().expect("parallel run");
+        let mut col = Collector::new();
+        let out = net.run_with(make(), &mut col).expect("parallel run");
         assert_eq!(out.stats, ref_out.stats, "{label}: stats diverged at {threads} threads");
         assert_eq!(
-            out.trace.rounds, ref_out.trace.rounds,
-            "{label}: trace diverged at {threads} threads"
+            col.round_samples(),
+            ref_col.round_samples(),
+            "{label}: round samples diverged at {threads} threads"
+        );
+        assert_eq!(
+            (col.to_chrome_jsonl(), col.metrics_json()),
+            (ref_col.to_chrome_jsonl(), ref_col.metrics_json()),
+            "{label}: telemetry exports diverged at {threads} threads"
         );
         assert_eq!(
             format!("{:?}", out.nodes),
@@ -125,7 +135,18 @@ fn lossy_network_without_reliable_hits_the_round_limit() {
         .with_round_limit(64)
         .run(FloodProtocol::instances(3, 0))
         .expect_err("unreachable node must exhaust the round limit");
-    assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 64 });
+    // Node 0 sent once (into the outage) and is done; nodes 1 and 2 wait
+    // forever with nothing in flight.
+    assert_eq!(
+        err,
+        RuntimeError::RoundLimitExceeded {
+            limit: 64,
+            last_active_round: Some(0),
+            not_done: 2,
+            first_not_done: Some(1),
+            in_flight: 0,
+        }
+    );
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! flags. The library versions use lazily-pruned priority queues instead;
 //! both must send the same messages on the same edges in the same rounds,
 //! so every comparison here is exact: results, [`RunStats`], the per-round
-//! [`Trace`], and the log of every delivered message, under each engine.
+//! samples and whole exports of a [`Collector`], and the log of every
+//! delivered message, under each engine.
 
 use congest::bfs::{
     build_bfs_tree, multi_source_bfs, source_eccentricities, EccAggregateProtocol, EccMsg,
@@ -15,9 +16,8 @@ use congest::bfs::{
 };
 use congest::generators::{path, random_connected_m};
 use congest::graph::{Dist, Graph, NodeId};
-use congest::runtime::{
-    Ctx, EngineMode, Network, NodeProtocol, RoundTrace, RunObserver, RunStats, Trace,
-};
+use congest::runtime::{Ctx, EngineMode, Network, NodeProtocol, RunObserver, RunStats};
+use congest::telemetry::{Collector, RoundSample};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -192,7 +192,9 @@ impl RunObserver for &mut MessageLog {
 struct Observed<T> {
     result: T,
     stats: RunStats,
-    trace: Vec<RoundTrace>,
+    samples: Vec<RoundSample>,
+    /// The collector's trace and metrics exports.
+    exports: (String, String),
     log: MessageLog,
 }
 
@@ -201,15 +203,29 @@ where
     P: NodeProtocol + Send,
     P::Msg: Send + Sync,
 {
-    let mut trace = Trace::default();
+    let mut col = Collector::new();
     let mut log = MessageLog::default();
-    let run = net.run_with(nodes, (&mut trace, &mut log)).expect("run completes");
-    Observed { result: result(run.nodes), stats: run.stats, trace: trace.rounds, log }
+    let run = net.run_with(nodes, (&mut col, &mut log)).expect("run completes");
+    Observed {
+        result: result(run.nodes),
+        stats: run.stats,
+        samples: col.round_samples().to_vec(),
+        exports: (col.to_chrome_jsonl(), col.metrics_json()),
+        log,
+    }
 }
 
 const ENGINES: [EngineMode; 2] = [EngineMode::Sequential, EngineMode::Parallel { threads: 2 }];
 
+/// Every engine's observation of the library protocol must be identical.
+fn assert_engines_agree<T: PartialEq + std::fmt::Debug>(per_engine: &[Observed<T>], what: &str) {
+    for (engine, got) in ENGINES.iter().zip(per_engine).skip(1) {
+        assert_eq!(got, &per_engine[0], "{what}: {engine:?} diverged from {:?}", ENGINES[0]);
+    }
+}
+
 fn assert_multi_bfs_matches_reference(g: &Graph, sources: &[NodeId]) {
+    let mut per_engine = Vec::new();
     for engine in ENGINES {
         let net = Network::new(g).with_engine(engine);
         let want = observe(&net, RefMultiBfs::instances(g.n(), sources), |nodes| {
@@ -221,10 +237,13 @@ fn assert_multi_bfs_matches_reference(g: &Graph, sources: &[NodeId]) {
         assert_eq!(got, want, "multi-BFS diverged: {engine:?}, sources {sources:?}");
         let driver = multi_source_bfs(&net, sources).expect("driver run");
         assert_eq!((driver.dist, driver.stats), (want.result, want.stats));
+        per_engine.push(got);
     }
+    assert_engines_agree(&per_engine, &format!("multi-BFS, sources {sources:?}"));
 }
 
 fn assert_ecc_aggregate_matches_reference(g: &Graph, root: NodeId, sources: &[NodeId]) {
+    let mut per_engine = Vec::new();
     for engine in ENGINES {
         let net = Network::new(g).with_engine(engine);
         let tree = build_bfs_tree(&net, root).expect("connected graph");
@@ -242,7 +261,9 @@ fn assert_ecc_aggregate_matches_reference(g: &Graph, root: NodeId, sources: &[No
         assert_eq!(stats, want_stats);
         let root_ecc: Vec<Option<Dist>> = ecc.into_iter().map(Some).collect();
         assert_eq!(root_ecc, want.result[root]);
+        per_engine.push(got);
     }
+    assert_engines_agree(&per_engine, &format!("aggregation, sources {sources:?}"));
 }
 
 /// A graph on 2..40 nodes, connected unless `disconnect` cuts one node off.

@@ -1,5 +1,5 @@
 //! Observer composition is free: attaching any combination of the built-in
-//! observers (trace, audit, telemetry) — or custom [`RunObserver`]s — must
+//! observers (audit, telemetry) — or custom [`RunObserver`]s — must
 //! not perturb the run, and each observer must record the same artifact it
 //! records when attached alone.
 
@@ -52,9 +52,9 @@ fn net_for<'g>(g: &'g Graph, plan: &Option<FaultPlan>, mode: EngineMode) -> Netw
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The full pipeline (trace + audit + telemetry) yields the same
-    /// statistics and final node states as a bare run, and its trace
-    /// equals the trace of `.traced()` alone.
+    /// The full pipeline (audit + telemetry) yields the same statistics
+    /// and final node states as a bare run, and its collector records
+    /// exactly what a collector attached alone records.
     #[test]
     fn composed_observers_do_not_perturb_the_run(
         input in arb_network(),
@@ -73,15 +73,12 @@ proptest! {
         };
 
         let bare = net_for(&g, &plan, mode).run(make()).expect("bare run");
-        let traced_alone =
-            net_for(&g, &plan, mode).exec(make()).traced().run().expect("traced run");
-        let mut col = Collector::new();
+        let mut alone = Collector::new();
+        let telemetry_alone =
+            net_for(&g, &plan, mode).run_with(make(), &mut alone).expect("telemetry run");
+        let (mut violations, mut col) = (Vec::new(), Collector::new());
         let full = net_for(&g, &plan, mode)
-            .exec(make())
-            .traced()
-            .audited()
-            .telemetry(&mut col)
-            .run()
+            .run_with(make(), (&mut violations, &mut col))
             .expect("fully observed run");
 
         prop_assert_eq!(full.stats, bare.stats, "observers perturbed the stats on {}", &name);
@@ -90,14 +87,19 @@ proptest! {
             format!("{:?}", bare.nodes),
             "observers perturbed the node states on {}", &name
         );
-        prop_assert_eq!(traced_alone.stats, bare.stats);
+        prop_assert_eq!(telemetry_alone.stats, bare.stats);
         prop_assert_eq!(
-            &full.trace.rounds,
-            &traced_alone.trace.rounds,
-            "composed trace differs from .traced() alone on {}", &name
+            col.round_samples(),
+            alone.round_samples(),
+            "composed round samples differ from telemetry alone on {}", &name
+        );
+        prop_assert_eq!(
+            (col.to_chrome_jsonl(), col.metrics_json()),
+            (alone.to_chrome_jsonl(), alone.metrics_json()),
+            "composed exports differ from telemetry alone on {}", &name
         );
         // An honest protocol audits clean, and the collector saw the run.
-        prop_assert!(full.violations.is_empty());
+        prop_assert!(violations.is_empty());
         prop_assert_eq!(col.cursor(), bare.stats.rounds as u64);
         prop_assert_eq!(col.counter("engine.bits"), bare.stats.total_bits);
     }

@@ -34,10 +34,10 @@ fn fault_free_exports_are_byte_identical_across_engines() {
     let exports = exports_for(|col, mode| {
         let net = Network::new(&g).with_engine(mode);
         col.enter("flood");
-        net.exec(FloodProtocol::instances(g.n(), 0)).telemetry(col).run().expect("flood");
+        net.run_with(FloodProtocol::instances(g.n(), 0), &mut *col).expect("flood");
         col.exit();
         col.enter("bfs");
-        net.exec(BfsTreeProtocol::instances(g.n(), 0)).telemetry(col).run().expect("bfs");
+        net.run_with(BfsTreeProtocol::instances(g.n(), 0), &mut *col).expect("bfs");
         col.exit();
     });
     assert_eq!(exports[0].0, exports[1].0, "trace JSONL differs across engines");
@@ -52,10 +52,11 @@ fn faulted_exports_are_byte_identical_across_engines() {
     let exports = exports_for(|col, mode| {
         let net = Network::new(&g).with_engine(mode).with_faults(plan.clone());
         col.enter("reliable-bfs");
-        net.exec(Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()))
-            .telemetry(col)
-            .run()
-            .expect("reliable bfs under 30% loss");
+        net.run_with(
+            Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()),
+            &mut *col,
+        )
+        .expect("reliable bfs under 30% loss");
         col.exit();
     });
     assert_eq!(exports[0].0, exports[1].0, "faulted trace JSONL differs across engines");
@@ -70,10 +71,11 @@ fn faulted_run_records_retries_and_edge_loads() {
         .with_faults(FaultPlan::new(19).with_drop_rate(0.3));
     let mut col = Collector::new();
     col.enter("reliable-flood");
-    net.exec(Reliable::wrap_all(FloodProtocol::instances(g.n(), 0), RetryConfig::default()))
-        .telemetry(&mut col)
-        .run()
-        .expect("reliable flood under 30% loss");
+    net.run_with(
+        Reliable::wrap_all(FloodProtocol::instances(g.n(), 0), RetryConfig::default()),
+        &mut col,
+    )
+    .expect("reliable flood under 30% loss");
     col.exit();
 
     // At 30% loss a grid flood loses some data or ack, so the stop-and-wait
@@ -102,11 +104,7 @@ fn telemetry_run_matches_untelemetered_run() {
     let net = Network::new(&g).with_engine(EngineMode::Sequential);
     let plain = net.run(FloodProtocol::instances(g.n(), 0)).expect("plain");
     let mut col = Collector::new();
-    let telem = net
-        .exec(FloodProtocol::instances(g.n(), 0))
-        .telemetry(&mut col)
-        .run()
-        .expect("telemetered");
+    let telem = net.run_with(FloodProtocol::instances(g.n(), 0), &mut col).expect("telemetered");
     assert_eq!(plain.stats, telem.stats);
     assert_eq!(col.cursor(), plain.stats.rounds as u64);
     assert_eq!(col.counter("engine.bits"), plain.stats.total_bits);

@@ -5,7 +5,7 @@
 //! This is the bounded-error exponential separation the paper's §4.3
 //! footnote alludes to — quantum needs `O(m)` superposed queries, any
 //! classical strategy pays the `Θ(2^{m/2})` birthday bound. The run also
-//! demonstrates the round-engine's congestion tracing.
+//! demonstrates the round-engine's telemetry report.
 //!
 //! ```text
 //! cargo run --release -p dqc-core --example hidden_shift
@@ -14,6 +14,7 @@
 use congest::bfs::BfsTreeProtocol;
 use congest::generators::grid;
 use congest::runtime::Network;
+use congest::telemetry::Collector;
 use dqc_core::simon::{classical_birthday_simon, quantum_simon, SimonInstance};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,12 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nQuantum grows linearly in m; classical doubles every two bits (birthday).");
 
-    // Bonus: congestion trace of the BFS-tree phase on this topology.
+    // Bonus: congestion profile of the BFS-tree phase on this topology.
     println!("\nBFS-tree construction congestion profile:");
-    let trace = net.exec(BfsTreeProtocol::instances(n, 0)).traced().run()?.trace;
-    print!("{}", trace.render(28));
-    if let Some((round, peak)) = trace.peak_round() {
-        println!("peak: round {round} with {} bits in flight", peak.bits);
-    }
+    let mut col = Collector::new();
+    col.enter("bfs-tree");
+    net.run_with(BfsTreeProtocol::instances(n, 0), &mut col)?;
+    col.exit();
+    print!("{}", col.render(28));
     Ok(())
 }

@@ -75,22 +75,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     col.enter("diagnostics");
     col.enter("bfs-tree");
-    net.exec(Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), retry))
-        .telemetry(&mut col)
-        .run()?;
+    net.run_with(Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), retry), &mut col)?;
     col.exit();
     col.enter("config-broadcast");
-    net.exec(Reliable::wrap_all(
-        BroadcastRegisterProtocol::instances(
-            &views,
-            Register::from_value(48, 0x0BAD_CAFE_F00D),
-            6,
-            Schedule::Pipelined,
+    net.run_with(
+        Reliable::wrap_all(
+            BroadcastRegisterProtocol::instances(
+                &views,
+                Register::from_value(48, 0x0BAD_CAFE_F00D),
+                6,
+                Schedule::Pipelined,
+            ),
+            retry,
         ),
-        retry,
-    ))
-    .telemetry(&mut col)
-    .run()?;
+        &mut col,
+    )?;
     col.exit();
     col.exit();
 
