@@ -1,5 +1,7 @@
 //! Result tables for the experiment harness.
 
+use congest::telemetry::json_escape;
+
 /// One experiment's result table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -47,7 +49,7 @@ impl Table {
         let pad = "  ".repeat(indent);
         let inner = "  ".repeat(indent + 1);
         let string_list = |items: &[String]| -> String {
-            let cells: Vec<String> = items.iter().map(|c| json_string(c)).collect();
+            let cells: Vec<String> = items.iter().map(|c| json_escape(c)).collect();
             format!("[{}]", cells.join(", "))
         };
         let rows: Vec<String> =
@@ -66,9 +68,9 @@ impl Table {
              {inner}\"rows\": {},\n\
              {inner}\"notes\": {}\n\
              {pad}}}",
-            json_string(&self.id),
-            json_string(&self.title),
-            json_string(&self.claim),
+            json_escape(&self.id),
+            json_escape(&self.title),
+            json_escape(&self.claim),
             string_list(&self.header),
             rows_block,
             string_list(&self.notes),
@@ -116,28 +118,6 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     }
     let items: Vec<String> = tables.iter().map(|t| t.to_json(1)).collect();
     format!("[\n{}\n]", items.join(",\n"))
-}
-
-/// A JSON string literal for `s` (quotes, escapes, and control bytes).
-fn json_string(s: &str) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Least-squares slope of `log y` against `log x` — the measured scaling
@@ -198,15 +178,15 @@ mod tests {
     fn json_string_adversarial() {
         // RFC 8259 §7: quote, backslash, and all controls < 0x20 must be
         // escaped; everything else (including non-ASCII) passes through.
-        assert_eq!(json_string(r#"a"b"#), r#""a\"b""#);
-        assert_eq!(json_string(r"back\slash"), r#""back\\slash""#);
-        assert_eq!(json_string("nl\ncr\rtab\t"), r#""nl\ncr\rtab\t""#);
-        assert_eq!(json_string("\u{0}\u{1f}"), r#""\u0000\u001f""#);
-        assert_eq!(json_string("Ω(√n) ≈ 7 — naïve"), "\"Ω(√n) ≈ 7 — naïve\"");
-        assert_eq!(json_string(""), "\"\"");
+        assert_eq!(json_escape(r#"a"b"#), r#""a\"b""#);
+        assert_eq!(json_escape(r"back\slash"), r#""back\\slash""#);
+        assert_eq!(json_escape("nl\ncr\rtab\t"), r#""nl\ncr\rtab\t""#);
+        assert_eq!(json_escape("\u{0}\u{1f}"), r#""\u0000\u001f""#);
+        assert_eq!(json_escape("Ω(√n) ≈ 7 — naïve"), "\"Ω(√n) ≈ 7 — naïve\"");
+        assert_eq!(json_escape(""), "\"\"");
         // The classic breakout attempt: a cell trying to close the string
         // and inject a sibling key stays inert.
-        let hostile = json_string("\",\"injected\":true,\"x\":\"");
+        let hostile = json_escape("\",\"injected\":true,\"x\":\"");
         assert_eq!(hostile, r#""\",\"injected\":true,\"x\":\"""#);
         assert!(!hostile.contains(r#"","injected""#));
     }

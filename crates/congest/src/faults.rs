@@ -162,14 +162,6 @@ impl FaultPlan {
         self
     }
 
-    /// Degrade `count` seed-chosen edges of `g` to `cap_bits` per round.
-    pub fn with_random_degraded(mut self, g: &Graph, count: usize, cap_bits: u64) -> Self {
-        for (u, v) in g.sample_edges(count, self.seed ^ 0xDE_64A) {
-            self.degraded.push((u, v, cap_bits));
-        }
-        self
-    }
-
     /// Whether the link `from -> to` is down in `round`.
     pub(crate) fn link_is_down(&self, round: usize, from: NodeId, to: NodeId) -> bool {
         self.link_down.iter().any(|l| {
@@ -589,14 +581,11 @@ mod tests {
     #[test]
     fn reliable_roundtrip_on_clean_path() {
         use crate::conformance::FloodProtocol;
-        use crate::runtime::Network;
+        use crate::runtime::{EngineMode, Network};
         let g = path(6);
-        let net = Network::new(&g);
+        let net = Network::new(&g).with_engine(EngineMode::Sequential);
         let run = net
-            .run_sequential(Reliable::wrap_all(
-                FloodProtocol::instances(6, 0),
-                RetryConfig::default(),
-            ))
+            .run(Reliable::wrap_all(FloodProtocol::instances(6, 0), RetryConfig::default()))
             .expect("clean reliable flood");
         assert!(run.nodes.iter().all(|r| r.inner().has_token));
         assert_eq!(run.stats.dropped, 0);

@@ -172,27 +172,6 @@ impl<'a, M: MessageSize> Ctx<'a, M> {
         }
     }
 
-    /// Queue a batch of addressed messages in one call.
-    ///
-    /// Equivalent to calling [`send`](Self::send) for each pair, in order,
-    /// but lets the outbox grow in a single reservation.
-    pub fn send_many<I>(&mut self, msgs: I)
-    where
-        I: IntoIterator<Item = (NodeId, M)>,
-    {
-        self.out.extend(msgs);
-    }
-
-    /// Whether this run records telemetry (i.e. a
-    /// [`Collector`](crate::telemetry::Collector) observes it). Protocols can use this to skip
-    /// building labels for [`mark`](Self::mark) on untelemetered runs;
-    /// [`count`](Self::count) and [`observe`](Self::observe) are cheap
-    /// enough to call unconditionally.
-    #[inline]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.tel.is_some()
-    }
-
     /// Emit an instant telemetry event at this node and round (e.g.
     /// `"became-leader"`). No-op unless the run records telemetry.
     #[inline]
@@ -498,10 +477,8 @@ impl<'g> Network<'g> {
     /// node is done and no messages are in flight.
     ///
     /// Scheduling follows [`with_engine`](Self::with_engine); every mode
-    /// yields bit-identical results. Protocols that cannot satisfy the
-    /// `Send`/`Sync` bounds can always use
-    /// [`run_sequential`](Self::run_sequential). To record violations or
-    /// telemetry alongside the run, use [`run_with`](Self::run_with).
+    /// yields bit-identical results. To record violations or telemetry
+    /// alongside the run, use [`run_with`](Self::run_with).
     ///
     /// # Errors
     ///
@@ -565,75 +542,42 @@ impl<'g> Network<'g> {
         P::Msg: Send + Sync,
         O: RunObserver,
     {
-        match self.effective_threads(nodes.len()) {
-            1 => self.exec_loop(nodes, obs, 1, SeqDriver),
-            threads => self.exec_loop(nodes, obs, threads, ParDriver),
-        }
-    }
-
-    /// [`run`](Self::run) on the single-threaded engine, regardless of the
-    /// configured [`EngineMode`]. This is the reference implementation the
-    /// parallel engine is checked against, and the only entry point for
-    /// protocols whose state is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_sequential<P: NodeProtocol>(
-        &self,
-        nodes: Vec<P>,
-    ) -> Result<RunOutput<P>, RuntimeError> {
-        self.run_sequential_with(nodes, ())
-    }
-
-    /// [`run_with`](Self::run_with) on the single-threaded engine — the
-    /// observer entry point for protocols whose state is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with`](Self::run_with).
-    pub fn run_sequential_with<P: NodeProtocol, O: RunObserver>(
-        &self,
-        nodes: Vec<P>,
-        obs: O,
-    ) -> Result<RunOutput<P>, RuntimeError> {
-        self.exec_loop(nodes, obs, 1, SeqDriver)
+        self.exec_loop(nodes, obs)
     }
 
     /// Validate one sender's outbox against the model, apply fault
     /// verdicts, and hand each surviving message to `sink` — the single
     /// validation/fault/delivery path shared by both engines.
     ///
-    /// Per-edge load is accumulated in `router`'s rank-indexed slot array —
-    /// one `O(log deg)` rank lookup per message, no per-sender allocation —
-    /// and only the touched slots are flushed and reset, so routing cost is
-    /// proportional to traffic rather than to the sender's degree.
+    /// Per-edge load is accumulated in the lane router's rank-indexed slot
+    /// array — one `O(log deg)` rank lookup per message, no per-sender
+    /// allocation — and only the touched slots are flushed and reset, so
+    /// routing cost is proportional to traffic rather than to the sender's
+    /// degree. The round's counts land in `lane.trace`.
     ///
     /// Returns `false` when the sender's chunk must stop: a non-audited
-    /// model breach was staged in `result.error`. In audit mode breaches
-    /// become [`Violation`]s in `result.violations` instead and the outbox
+    /// model breach was staged in `lane.error`. In audit mode breaches
+    /// become [`Violation`]s in `lane.violations` instead and the outbox
     /// keeps draining (audited cap overflows still deliver; audited
     /// non-neighbor sends are discarded — there is no edge to carry them).
     #[inline]
-    #[allow(clippy::too_many_arguments)] // internal hot path; grouping into a struct buys nothing
     fn route_outbox<M: MessageSize, S: SendSink<M>>(
         &self,
         from: NodeId,
         round: usize,
-        outbox: &mut Vec<(NodeId, M)>,
-        router: &mut Router,
-        result: &mut LaneResult,
-        edges: Option<&mut Vec<(NodeId, NodeId, u64)>>,
+        lane: &mut Lane<M>,
         sink: &mut S,
         auditing: bool,
+        telemetering: bool,
     ) -> bool {
+        let Lane { outbox, router, trace, error, violations, shard, .. } = lane;
         for (idx, (to, msg)) in outbox.drain(..).enumerate() {
             let Some(rank) = self.graph.neighbor_rank(from, to) else {
                 if auditing {
-                    result.violations.push(Violation::NonNeighborSend { round, from, to });
+                    violations.push(Violation::NonNeighborSend { round, from, to });
                     continue; // no edge exists to carry the message
                 }
-                result.error = Some(RuntimeError::NotANeighbor { round, from, to });
+                *error = Some(RuntimeError::NotANeighbor { round, from, to });
                 return false;
             };
             let bits = msg.size_bits();
@@ -643,7 +587,7 @@ impl<'g> Network<'g> {
             router.slots[rank] += bits;
             if router.slots[rank] > self.cap_bits {
                 if auditing {
-                    result.violations.push(Violation::CapExceeded {
+                    violations.push(Violation::CapExceeded {
                         round,
                         from,
                         to,
@@ -651,7 +595,7 @@ impl<'g> Network<'g> {
                         cap: self.cap_bits,
                     });
                 } else {
-                    result.error = Some(RuntimeError::BandwidthExceeded {
+                    *error = Some(RuntimeError::BandwidthExceeded {
                         round,
                         from,
                         to,
@@ -677,18 +621,19 @@ impl<'g> Network<'g> {
                 };
                 match verdict {
                     Delivery::Drop => {
-                        result.stats.dropped += 1;
+                        trace.dropped += 1;
                         continue;
                     }
                     Delivery::Delay(d) => delay = d as u32,
                     Delivery::Deliver => {}
                 }
             }
-            result.stats.messages += 1;
-            result.stats.total_bits += bits;
+            trace.messages += 1;
+            trace.bits += bits;
             sink.accept(to, from, delay, bits, msg);
         }
-        router.flush(from, self.graph.neighbors(from), &mut result.stats, &mut result.acc, edges);
+        let edges = if telemetering { Some(&mut shard.edges) } else { None };
+        router.flush(from, self.graph.neighbors(from), &mut trace.busiest_edge, edges);
         true
     }
 
@@ -703,13 +648,12 @@ impl<'g> Network<'g> {
         base: NodeId,
         chunk: &mut [P],
         inboxes: &[Vec<(NodeId, P::Msg)>],
-        lane: &mut LaneCore<P::Msg>,
+        lane: &mut Lane<P::Msg>,
         sink: &mut S,
         auditing: bool,
         telemetering: bool,
     ) {
         let n = self.graph.n();
-        lane.result = LaneResult::default();
         for (i, node) in chunk.iter_mut().enumerate() {
             let v = base + i;
             lane.outbox.clear();
@@ -728,52 +672,106 @@ impl<'g> Network<'g> {
             if lane.outbox.is_empty() {
                 continue;
             }
-            lane.result.any_sent = true;
-            if !self.route_outbox(
-                v,
-                round,
-                &mut lane.outbox,
-                &mut lane.router,
-                &mut lane.result,
-                if telemetering { Some(&mut lane.shard.edges) } else { None },
-                sink,
-                auditing,
-            ) {
+            lane.any_sent = true;
+            if !self.route_outbox(v, round, lane, sink, auditing, telemetering) {
                 return;
             }
         }
     }
 
+    /// One round on a single lane: the whole node range runs inline and
+    /// each validated send goes straight into the next round's inboxes (or
+    /// the delay wheel) through a [`DeliverSink`] — no staging copy.
+    fn sweep_inline<P: NodeProtocol, O: RunObserver>(
+        &self,
+        round: usize,
+        nodes: &mut [P],
+        core: &mut ExecCore<P::Msg>,
+        obs: &mut O,
+    ) {
+        let ExecCore {
+            inboxes,
+            next_inboxes,
+            wheel,
+            lanes,
+            auditing,
+            telemetering,
+            want_messages,
+            ..
+        } = core;
+        let mut sink =
+            DeliverSink { next_inboxes, wheel, obs, want_messages: *want_messages, round };
+        self.round_for_chunk(
+            round,
+            0,
+            nodes,
+            inboxes,
+            &mut lanes[0],
+            &mut sink,
+            *auditing,
+            *telemetering,
+        );
+    }
+
+    /// One round fanned out over scoped worker threads: one contiguous
+    /// [`NodeId`] chunk per lane, each lane staging its sends in its own
+    /// `ExecCore::staged` buffer for [`ExecCore::merge_round`] to deliver
+    /// in chunk order (workers may not touch the shared inboxes).
+    fn sweep_parallel<P>(&self, round: usize, nodes: &mut [P], core: &mut ExecCore<P::Msg>)
+    where
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync,
+    {
+        let ExecCore { inboxes, lanes, staged, chunk_len, auditing, telemetering, .. } = core;
+        let (chunk_len, auditing, telemetering) = (*chunk_len, *auditing, *telemetering);
+        let inboxes: &[Vec<(NodeId, P::Msg)>] = inboxes;
+        std::thread::scope(|s| {
+            let lanes = lanes.iter_mut().zip(staged.iter_mut());
+            for (t, (chunk, (lane, sends))) in nodes.chunks_mut(chunk_len).zip(lanes).enumerate() {
+                s.spawn(move || {
+                    self.round_for_chunk(
+                        round,
+                        t * chunk_len,
+                        chunk,
+                        inboxes,
+                        lane,
+                        sends,
+                        auditing,
+                        telemetering,
+                    );
+                });
+            }
+        });
+    }
+
     /// The round loop — the only one in the crate; both engines execute
-    /// this exact body. `driver` chooses how each round's `on_round` calls
-    /// are scheduled (inline on one lane, or fanned out over scoped worker
-    /// threads staging into per-lane buffers), [`ExecCore`] holds the
-    /// engine-agnostic run state, and `obs` receives the [`RunObserver`]
-    /// hooks at fixed points of the loop.
+    /// this exact body. A single lane sweeps inline
+    /// ([`sweep_inline`](Self::sweep_inline)); more lanes fan out over
+    /// scoped worker threads ([`sweep_parallel`](Self::sweep_parallel)).
+    /// [`ExecCore`] holds the engine-agnostic run state, and `obs`
+    /// receives the [`RunObserver`] hooks at fixed points of the loop.
     ///
     /// Merging lanes in chunk (= node id) order reproduces a sequential
     /// sweep's inbox ordering, statistics, busiest-edge choice, and first
     /// error exactly; see `DESIGN.md`, "Engine internals".
-    fn exec_loop<P, O, D>(
-        &self,
-        mut nodes: Vec<P>,
-        mut obs: O,
-        threads: usize,
-        driver: D,
-    ) -> Result<RunOutput<P>, RuntimeError>
+    fn exec_loop<P, O>(&self, mut nodes: Vec<P>, mut obs: O) -> Result<RunOutput<P>, RuntimeError>
     where
-        P: NodeProtocol,
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync,
         O: RunObserver,
-        D: RoundDriver<P>,
     {
         let n = self.graph.n();
         if nodes.len() != n {
             return Err(RuntimeError::WrongNodeCount { expected: n, got: nodes.len() });
         }
+        let threads = self.effective_threads(n);
         let mut core = ExecCore::new(n, self.graph.max_degree(), threads, &obs);
         for round in 0..self.max_rounds {
-            obs.on_round_start(round);
-            driver.drive(self, round, &mut nodes, &mut core, &mut obs);
+            if threads == 1 {
+                self.sweep_inline(round, &mut nodes, &mut core, &mut obs);
+            } else {
+                self.sweep_parallel(round, &mut nodes, &mut core);
+            }
             // The first error in lane order is the first error in node
             // order: chunks are contiguous and each lane stops at its own
             // first error.
@@ -813,12 +811,10 @@ impl<'g> Network<'g> {
 
 /// Hooks into the execution core, composable into a pipeline.
 ///
-/// One observer pipeline is attached per run (via [`Network::run_with`] or
-/// [`Network::run_sequential_with`]); the engine invokes the hooks at fixed points of
-/// its single round loop, identically under every [`EngineMode`]:
+/// One observer pipeline is attached per run (via [`Network::run_with`]);
+/// the engine invokes the hooks at fixed points of its single round loop,
+/// identically under every [`EngineMode`]:
 ///
-/// * [`on_round_start`](Self::on_round_start) — before any `on_round` call
-///   of the round;
 /// * [`on_message`](Self::on_message) — once per message accepted for
 ///   delivery (immediate or delayed, not dropped), in sender order; only
 ///   invoked when [`observes_messages`](Self::observes_messages) is true;
@@ -859,11 +855,6 @@ pub trait RunObserver {
         false
     }
 
-    /// Called at the top of every round, before any `on_round` call.
-    fn on_round_start(&mut self, round: usize) {
-        let _ = round;
-    }
-
     /// Called once per message accepted for delivery — immediately or
     /// after an injected delay, but not for dropped messages — at the
     /// round it was sent. Gated by
@@ -879,8 +870,9 @@ pub trait RunObserver {
         let _ = violation;
     }
 
-    /// Called at the end of every round with its aggregate trace and the
-    /// round's merged telemetry staging buffer (empty unless
+    /// Called at the end of every round with the run-local round index
+    /// (0 for the run's first round), its aggregate trace, and the round's
+    /// merged telemetry staging buffer (empty unless
     /// [`collects_telemetry`](Self::collects_telemetry) is true).
     fn on_round_end(&mut self, round: usize, trace: RoundTrace, shard: &mut Shard) {
         let _ = (round, trace, shard);
@@ -909,11 +901,6 @@ impl<A: RunObserver, B: RunObserver> RunObserver for (A, B) {
 
     fn observes_messages(&self) -> bool {
         self.0.observes_messages() || self.1.observes_messages()
-    }
-
-    fn on_round_start(&mut self, round: usize) {
-        self.0.on_round_start(round);
-        self.1.on_round_start(round);
     }
 
     fn on_message(&mut self, round: usize, from: NodeId, to: NodeId, bits: u64) {
@@ -960,10 +947,10 @@ pub struct RunOutput<P> {
 }
 
 /// Engine-agnostic state of one run: the inbox double-buffer, the delay
-/// wheel, run statistics, and the per-lane staging buffers. Both engines
-/// execute the single loop in `Network::exec_loop` over this core; a
-/// [`RoundDriver`] only chooses how the `on_round` calls land on the
-/// lanes.
+/// wheel, run statistics, and the per-lane working state. Both engines
+/// execute the single loop in `Network::exec_loop` over this core; the
+/// sweep (`Network::sweep_inline` or `Network::sweep_parallel`) only
+/// chooses how the `on_round` calls land on the lanes.
 struct ExecCore<M> {
     /// Nodes per lane (`n.div_ceil(lanes)`); lane `t` owns ids
     /// `[t·chunk_len, (t+1)·chunk_len)`.
@@ -972,6 +959,11 @@ struct ExecCore<M> {
     next_inboxes: Vec<Vec<(NodeId, M)>>,
     wheel: DelayWheel<M>,
     lanes: Vec<Lane<M>>,
+    /// One buffer per lane of validated `(to, from, delay, msg)` sends in
+    /// sender order, staged by the parallel sweep and delivered by
+    /// [`merge_round`](Self::merge_round); always empty on a single lane,
+    /// whose [`DeliverSink`] bypasses staging.
+    staged: Vec<Vec<(NodeId, NodeId, u32, M)>>,
     stats: RunStats,
     last_active_round: usize,
     /// Per-lane telemetry shards are merged into this buffer in chunk
@@ -991,6 +983,7 @@ impl<M: MessageSize> ExecCore<M> {
             next_inboxes: (0..n).map(|_| Vec::new()).collect(),
             wheel: DelayWheel::new(),
             lanes: (0..lanes).map(|_| Lane::new(max_degree)).collect(),
+            staged: (0..lanes).map(|_| Vec::new()).collect(),
             stats: RunStats::default(),
             last_active_round: 0,
             round_shard: Shard::default(),
@@ -1002,17 +995,19 @@ impl<M: MessageSize> ExecCore<M> {
 
     /// The first staged routing error in lane (= node) order, if any.
     fn first_error(&mut self) -> Option<RuntimeError> {
-        self.lanes.iter_mut().find_map(|l| l.core.result.error.take())
+        self.lanes.iter_mut().find_map(|l| l.error.take())
     }
 
-    /// Fold every lane's round results into the run: statistics, audit
-    /// findings (through [`RunObserver::on_violation`]), telemetry shards,
-    /// and staged sends (delivered to the next round's inboxes or the
-    /// delay wheel), all in chunk (= node id) order. Returns whether any
-    /// node sent this round plus the round's aggregate trace.
+    /// Fold every lane's round record into the run, in chunk (= node id)
+    /// order: the lane traces into the round's [`RoundTrace`] (and from it
+    /// the [`RunStats`] deltas), audit findings (through
+    /// [`RunObserver::on_violation`]), telemetry shards, and staged sends
+    /// (delivered to the next round's inboxes or the delay wheel). Returns
+    /// whether any node sent this round plus the round's trace.
     fn merge_round<O: RunObserver>(&mut self, round: usize, obs: &mut O) -> (bool, RoundTrace) {
         let ExecCore {
             lanes,
+            staged,
             next_inboxes,
             wheel,
             stats,
@@ -1021,37 +1016,30 @@ impl<M: MessageSize> ExecCore<M> {
             want_messages,
             ..
         } = self;
-        let (telemetering, want_messages) = (*telemetering, *want_messages);
         let mut any_sent = false;
-        let mut acc = RoundAccum::default();
-        for lane in lanes.iter_mut() {
-            let r = &lane.core.result;
-            stats.messages += r.stats.messages;
-            stats.total_bits += r.stats.total_bits;
-            stats.max_edge_bits = stats.max_edge_bits.max(r.stats.max_edge_bits);
-            stats.dropped += r.stats.dropped;
-            any_sent |= r.any_sent;
-            // The lane's stats are exactly this round's deltas (the lane
-            // result is reset at the top of each round).
-            acc.messages += r.stats.messages;
-            acc.bits += r.stats.total_bits;
-            acc.dropped += r.stats.dropped;
-            if let Some((f, t, b)) = r.acc.busiest {
-                if acc.busiest.is_none_or(|(_, _, bb)| b > bb) {
-                    acc.busiest = Some((f, t, b));
+        let mut trace = RoundTrace::default();
+        for (lane, sends) in lanes.iter_mut().zip(staged.iter_mut()) {
+            let t = std::mem::take(&mut lane.trace);
+            trace.messages += t.messages;
+            trace.bits += t.bits;
+            trace.dropped += t.dropped;
+            if let Some((_, _, b)) = t.busiest_edge {
+                if trace.busiest_edge.is_none_or(|(_, _, bb)| b > bb) {
+                    trace.busiest_edge = t.busiest_edge;
                 }
             }
-            for v in lane.core.result.violations.drain(..) {
+            any_sent |= std::mem::take(&mut lane.any_sent);
+            for v in lane.violations.drain(..) {
                 obs.on_violation(&v);
             }
-            if telemetering {
-                round_shard.marks.append(&mut lane.core.shard.marks);
-                round_shard.counts.append(&mut lane.core.shard.counts);
-                round_shard.observations.append(&mut lane.core.shard.observations);
-                round_shard.edges.append(&mut lane.core.shard.edges);
+            if *telemetering {
+                round_shard.marks.append(&mut lane.shard.marks);
+                round_shard.counts.append(&mut lane.shard.counts);
+                round_shard.observations.append(&mut lane.shard.observations);
+                round_shard.edges.append(&mut lane.shard.edges);
             }
-            for (to, from, delay, msg) in lane.sends.drain(..) {
-                if want_messages {
+            for (to, from, delay, msg) in sends.drain(..) {
+                if *want_messages {
                     obs.on_message(round, from, to, msg.size_bits());
                 }
                 if delay == 0 {
@@ -1061,15 +1049,13 @@ impl<M: MessageSize> ExecCore<M> {
                 }
             }
         }
-        (
-            any_sent,
-            RoundTrace {
-                messages: acc.messages,
-                bits: acc.bits,
-                busiest_edge: acc.busiest,
-                dropped: acc.dropped,
-            },
-        )
+        stats.messages += trace.messages;
+        stats.total_bits += trace.bits;
+        stats.dropped += trace.dropped;
+        if let Some((_, _, b)) = trace.busiest_edge {
+            stats.max_edge_bits = stats.max_edge_bits.max(b);
+        }
+        (any_sent, trace)
     }
 
     /// Whether no message is waiting for the next round (inboxes and the
@@ -1094,100 +1080,6 @@ impl<M: MessageSize> ExecCore<M> {
     }
 }
 
-/// How one round's `on_round` calls are scheduled onto the lanes. The loop
-/// body, validation path, and merge logic are shared ([`ExecCore`]); a
-/// driver only chooses inline execution or a scoped-thread fan-out.
-trait RoundDriver<P: NodeProtocol> {
-    fn drive<O: RunObserver>(
-        &self,
-        net: &Network<'_>,
-        round: usize,
-        nodes: &mut [P],
-        core: &mut ExecCore<P::Msg>,
-        obs: &mut O,
-    );
-}
-
-/// Single-lane driver: runs the whole node range inline and delivers each
-/// validated send straight into the next round's inboxes (or the delay
-/// wheel) — no staging, no `Send` bounds.
-struct SeqDriver;
-
-impl<P: NodeProtocol> RoundDriver<P> for SeqDriver {
-    fn drive<O: RunObserver>(
-        &self,
-        net: &Network<'_>,
-        round: usize,
-        nodes: &mut [P],
-        core: &mut ExecCore<P::Msg>,
-        obs: &mut O,
-    ) {
-        let ExecCore {
-            inboxes,
-            next_inboxes,
-            wheel,
-            lanes,
-            auditing,
-            telemetering,
-            want_messages,
-            ..
-        } = core;
-        let mut sink =
-            DeliverSink { next_inboxes, wheel, obs, want_messages: *want_messages, round };
-        net.round_for_chunk(
-            round,
-            0,
-            nodes,
-            inboxes,
-            &mut lanes[0].core,
-            &mut sink,
-            *auditing,
-            *telemetering,
-        );
-    }
-}
-
-/// Scoped-thread driver: one contiguous [`NodeId`] chunk per lane, sends
-/// staged per lane and merged in chunk order by the coordinator.
-struct ParDriver;
-
-impl<P> RoundDriver<P> for ParDriver
-where
-    P: NodeProtocol + Send,
-    P::Msg: Send + Sync,
-{
-    fn drive<O: RunObserver>(
-        &self,
-        net: &Network<'_>,
-        round: usize,
-        nodes: &mut [P],
-        core: &mut ExecCore<P::Msg>,
-        _obs: &mut O,
-    ) {
-        let ExecCore { inboxes, lanes, chunk_len, auditing, telemetering, .. } = core;
-        let (chunk_len, auditing, telemetering) = (*chunk_len, *auditing, *telemetering);
-        let inboxes: &[Vec<(NodeId, P::Msg)>] = inboxes;
-        std::thread::scope(|s| {
-            for (t, (chunk, lane)) in nodes.chunks_mut(chunk_len).zip(lanes.iter_mut()).enumerate()
-            {
-                s.spawn(move || {
-                    let Lane { core: lane_core, sends } = lane;
-                    net.round_for_chunk(
-                        round,
-                        t * chunk_len,
-                        chunk,
-                        inboxes,
-                        lane_core,
-                        &mut StageSink { sends },
-                        auditing,
-                        telemetering,
-                    );
-                });
-            }
-        });
-    }
-}
-
 /// Where `Network::route_outbox` puts a message that survived validation
 /// and the fault verdict.
 trait SendSink<M> {
@@ -1196,22 +1088,18 @@ trait SendSink<M> {
     fn accept(&mut self, to: NodeId, from: NodeId, delay: u32, bits: u64, msg: M);
 }
 
-/// Stages sends in a lane buffer for the coordinator to merge — the
-/// parallel driver's sink (workers may not touch the shared inboxes).
-struct StageSink<'a, M> {
-    sends: &'a mut Vec<(NodeId, NodeId, u32, M)>,
-}
-
-impl<M> SendSink<M> for StageSink<'_, M> {
+/// A lane's staging buffer — the parallel sweep's sink (workers may not
+/// touch the shared inboxes).
+impl<M> SendSink<M> for Vec<(NodeId, NodeId, u32, M)> {
     #[inline]
     fn accept(&mut self, to: NodeId, from: NodeId, delay: u32, _bits: u64, msg: M) {
-        self.sends.push((to, from, delay, msg));
+        self.push((to, from, delay, msg));
     }
 }
 
 /// Delivers straight into the next round's inboxes or the delay wheel —
-/// the sequential driver's sink (the coordinator is the only thread, so
-/// staging would be a wasted copy).
+/// the single-lane sink (the coordinator is the only thread, so staging
+/// would be a wasted copy).
 struct DeliverSink<'a, M, O> {
     next_inboxes: &'a mut Vec<Vec<(NodeId, M)>>,
     wheel: &'a mut DelayWheel<M>,
@@ -1251,23 +1139,22 @@ impl Router {
         Router { slots: vec![0; max_degree], touched: Vec::new() }
     }
 
-    /// Fold the touched per-edge loads of sender `from` into the run and
-    /// round accumulators, and reset the slots for the next sender.
+    /// Fold the touched per-edge loads of sender `from` into the round's
+    /// busiest edge (first of a tie wins), and reset the slots for the
+    /// next sender.
     #[inline]
     fn flush(
         &mut self,
         from: NodeId,
         neighbors: &[NodeId],
-        stats: &mut RunStats,
-        acc: &mut RoundAccum,
+        busiest: &mut Option<(NodeId, NodeId, u64)>,
         mut edges: Option<&mut Vec<(NodeId, NodeId, u64)>>,
     ) {
         for &r in &self.touched {
             let load = self.slots[r];
             self.slots[r] = 0;
-            stats.max_edge_bits = stats.max_edge_bits.max(load);
-            if acc.busiest.is_none_or(|(_, _, b)| load > b) {
-                acc.busiest = Some((from, neighbors[r], load));
+            if busiest.is_none_or(|(_, _, b)| load > b) {
+                *busiest = Some((from, neighbors[r], load));
             }
             // Telemetry-only per-edge load feed; `load == 0` slots (from a
             // zero-size message's double-push) are skipped like elsewhere.
@@ -1281,61 +1168,36 @@ impl Router {
     }
 }
 
-/// Per-round trace accumulator, filled inside the send loop so a traced
-/// run measures each message exactly once.
-#[derive(Debug, Default, Clone, Copy)]
-struct RoundAccum {
-    messages: u64,
-    bits: u64,
-    busiest: Option<(NodeId, NodeId, u64)>,
-    dropped: u64,
-}
-
-/// One lane's round output, reset at the top of every round.
-#[derive(Debug, Default)]
-struct LaneResult {
-    stats: RunStats,
-    acc: RoundAccum,
+/// One lane's working state and round record — everything
+/// `round_for_chunk` touches — reused round after round so the steady
+/// state allocates nothing. A single lane runs inline; the parallel sweep
+/// hands one to each worker thread.
+struct Lane<M> {
+    outbox: Vec<(NodeId, M)>,
+    router: Router,
+    /// This round's accounting for the lane's chunk; taken (and so reset)
+    /// by `ExecCore::merge_round`.
+    trace: RoundTrace,
     any_sent: bool,
     error: Option<RuntimeError>,
     /// Audit-mode findings, in this lane's node order; the coordinator
     /// replays lanes in chunk order, reproducing sequential order.
     violations: Vec<Violation>,
-}
-
-/// One lane's persistent working state — everything `round_for_chunk`
-/// touches — reused round after round so the steady state allocates
-/// nothing. The sequential engine runs one of these inline; the parallel
-/// engine hands one to each worker thread.
-struct LaneCore<M> {
-    outbox: Vec<(NodeId, M)>,
-    router: Router,
-    result: LaneResult,
     /// Telemetry staged by this lane's chunk, drained by the coordinator
     /// in chunk order each round (empty on untelemetered runs).
     shard: Shard,
 }
 
-/// A [`LaneCore`] plus the parallel engine's staging buffer.
-struct Lane<M> {
-    core: LaneCore<M>,
-    /// Validated `(to, from, delay, msg)` tuples in sender order, staged by
-    /// [`StageSink`] and merged into the next round's inboxes (or the
-    /// delay wheel) by the coordinating thread; always empty on the
-    /// sequential engine, whose [`DeliverSink`] bypasses staging.
-    sends: Vec<(NodeId, NodeId, u32, M)>,
-}
-
 impl<M> Lane<M> {
     fn new(max_degree: usize) -> Self {
         Lane {
-            core: LaneCore {
-                outbox: Vec::new(),
-                router: Router::new(max_degree),
-                result: LaneResult::default(),
-                shard: Shard::default(),
-            },
-            sends: Vec::new(),
+            outbox: Vec::new(),
+            router: Router::new(max_degree),
+            trace: RoundTrace::default(),
+            any_sent: false,
+            error: None,
+            violations: Vec::new(),
+            shard: Shard::default(),
         }
     }
 }

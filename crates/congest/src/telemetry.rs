@@ -169,14 +169,8 @@ impl RunObserver for &mut Collector {
         true
     }
 
-    fn on_round_start(&mut self, round: usize) {
-        if round == 0 {
-            self.begin_engine_run();
-        }
-    }
-
-    fn on_round_end(&mut self, _round: usize, trace: RoundTrace, shard: &mut Shard) {
-        self.engine_round(trace, shard);
+    fn on_round_end(&mut self, round: usize, trace: RoundTrace, shard: &mut Shard) {
+        self.engine_round(round, trace, shard);
     }
 
     fn on_finish(&mut self, stats: &RunStats) {
@@ -207,7 +201,6 @@ pub struct Collector {
     spans: Vec<Span>,
     stack: Vec<usize>,
     cursor: u64,
-    in_run_round: u64,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     edges: BTreeMap<(NodeId, NodeId), u64>,
@@ -354,16 +347,12 @@ impl Collector {
 
     // --- engine-facing interface (crate-internal) --------------------
 
-    /// Start an instrumented engine run: local round 0 is the cursor.
-    pub(crate) fn begin_engine_run(&mut self) {
-        self.in_run_round = 0;
-    }
-
-    /// Fold one executed round into the collector: the round's accounting
-    /// plus the (already node-ordered) shard contents.
-    pub(crate) fn engine_round(&mut self, trace: RoundTrace, shard: &mut Shard) {
-        let round = self.cursor + self.in_run_round;
-        self.in_run_round += 1;
+    /// Fold the engine run's round `round` into the collector: the
+    /// round's accounting plus the (already node-ordered) shard contents,
+    /// stamped `cursor + round` (the cursor only moves when the run
+    /// finishes).
+    pub(crate) fn engine_round(&mut self, round: usize, trace: RoundTrace, shard: &mut Shard) {
+        let round = self.cursor + round as u64;
         self.rounds.push(RoundSample { round, trace });
         for (node, label) in shard.marks.drain(..) {
             self.marks.push(Mark { round, node, label });
@@ -387,7 +376,6 @@ impl Collector {
         let end = self.cursor + stats.rounds as u64;
         self.rounds.retain(|s| s.round < end);
         self.cursor = end;
-        self.in_run_round = 0;
         self.add("engine.messages", stats.messages);
         self.add("engine.bits", stats.total_bits);
         self.add("engine.dropped", stats.dropped);
@@ -647,15 +635,14 @@ mod tests {
     fn engine_round_merges_shard_in_order() {
         let mut col = Collector::new();
         col.advance(10); // a prior phase
-        col.begin_engine_run();
         let mut shard = Shard::default();
         shard.marks.push((3, "probe".into()));
         shard.counts.push(("reliable.retries", 2));
         shard.observations.push(("reliable.backoff", 4));
         shard.edges.push((0, 1, 8));
         shard.edges.push((0, 1, 8));
-        col.engine_round(RoundTrace { messages: 2, bits: 16, ..Default::default() }, &mut shard);
-        col.engine_round(RoundTrace::default(), &mut shard);
+        col.engine_round(0, RoundTrace { messages: 2, bits: 16, ..Default::default() }, &mut shard);
+        col.engine_round(1, RoundTrace::default(), &mut shard);
         col.finish_engine_run(&RunStats {
             rounds: 1,
             messages: 2,
@@ -741,8 +728,7 @@ mod tests {
         let mut shard = Shard::default();
         shard.edges.push((0, 1, 30));
         shard.edges.push((1, 2, 10));
-        col.begin_engine_run();
-        col.engine_round(RoundTrace::default(), &mut shard);
+        col.engine_round(0, RoundTrace::default(), &mut shard);
         col.finish_engine_run(&RunStats { rounds: 1, ..Default::default() });
         let r = col.render(16);
         assert!(r.contains("phase breakdown"));

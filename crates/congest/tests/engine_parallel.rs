@@ -48,8 +48,7 @@ where
 {
     let reference = base.clone().with_engine(EngineMode::Sequential);
     let mut ref_col = Collector::new();
-    let ref_out =
-        reference.run_sequential_with(make(&reference), &mut ref_col).expect("reference run");
+    let ref_out = reference.run_with(make(&reference), &mut ref_col).expect("reference run");
     let ref_states = format!("{:?}", ref_out.nodes);
     for threads in [2usize, 5] {
         let net = base.clone().with_engine(EngineMode::Parallel { threads });
@@ -90,7 +89,9 @@ where
 
 fn tree_views(net: &Network<'_>, root: usize) -> Vec<TreeView> {
     let run = net
-        .run_sequential(BfsTreeProtocol::instances(net.graph().n(), root))
+        .clone()
+        .with_engine(EngineMode::Sequential)
+        .run(BfsTreeProtocol::instances(net.graph().n(), root))
         .expect("bfs for tree views");
     run.nodes.iter().map(|p| p.tree_view()).collect()
 }
@@ -206,7 +207,7 @@ fn parallel_engine_reports_identical_errors() {
     }
     let g = star(20);
     let make = || (0..20).map(|_| Hog { sent: false }).collect::<Vec<_>>();
-    let seq_err = Network::new(&g).run_sequential(make()).unwrap_err();
+    let seq_err = Network::new(&g).with_engine(EngineMode::Sequential).run(make()).unwrap_err();
     assert!(matches!(seq_err, RuntimeError::BandwidthExceeded { .. }));
     for threads in [2usize, 3, 8] {
         let par_err =
@@ -355,13 +356,15 @@ fn auto_mode_thresholds_on_network_size() {
     let net = Network::new(&g);
     assert_eq!(net.engine(), EngineMode::Auto);
     let a = net.run(BfsTreeProtocol::instances(32, 0)).expect("auto run");
-    let b = net.run_sequential(BfsTreeProtocol::instances(32, 0)).expect("sequential run");
+    let seq = net.clone().with_engine(EngineMode::Sequential);
+    let b = seq.run(BfsTreeProtocol::instances(32, 0)).expect("sequential run");
     assert_eq!(a.stats, b.stats);
     // Above the threshold Auto may parallelize; results must still agree.
     let g = path(600);
     let net = Network::new(&g);
     let a = net.run(BfsTreeProtocol::instances(600, 0)).expect("auto run large");
-    let b = net.run_sequential(BfsTreeProtocol::instances(600, 0)).expect("sequential large");
+    let seq = net.clone().with_engine(EngineMode::Sequential);
+    let b = seq.run(BfsTreeProtocol::instances(600, 0)).expect("sequential large");
     assert_eq!(a.stats, b.stats);
     assert_eq!(format!("{:?}", a.nodes), format!("{:?}", b.nodes));
 }

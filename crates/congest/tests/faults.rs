@@ -19,9 +19,9 @@ where
     P::Msg: Send + Sync,
     F: Fn() -> Vec<P>,
 {
-    let reference = Network::new(g).with_faults(plan.clone());
+    let reference = Network::new(g).with_faults(plan.clone()).with_engine(EngineMode::Sequential);
     let mut ref_col = Collector::new();
-    let ref_out = reference.run_sequential_with(make(), &mut ref_col).expect("reference run");
+    let ref_out = reference.run_with(make(), &mut ref_col).expect("reference run");
     let ref_states = format!("{:?}", ref_out.nodes);
     for threads in [2usize, 3, 5] {
         let net =
@@ -56,9 +56,9 @@ fn fault_schedule_is_identical_across_engines_and_replays() {
         assert_faulted_engines_agree(&format!("reliable-flood seed {seed}"), &g, &plan, make);
 
         // Replay: the same seed must reproduce the run exactly.
-        let net = Network::new(&g).with_faults(plan.clone());
-        let a = net.run_sequential(make()).expect("first replay");
-        let b = net.run_sequential(make()).expect("second replay");
+        let net = Network::new(&g).with_faults(plan.clone()).with_engine(EngineMode::Sequential);
+        let a = net.run(make()).expect("first replay");
+        let b = net.run(make()).expect("second replay");
         assert_eq!(a.stats, b.stats, "seed {seed} did not replay");
         assert!(a.stats.dropped > 0, "seed {seed}: a 25% drop plan dropped nothing");
     }

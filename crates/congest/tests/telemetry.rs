@@ -7,10 +7,10 @@
 //! compare the raw export strings.
 
 use congest::bfs::BfsTreeProtocol;
-use congest::conformance::FloodProtocol;
+use congest::conformance::{validate_trace, FloodProtocol};
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::grid;
-use congest::runtime::{EngineMode, Network};
+use congest::runtime::{EngineMode, Network, RunStats};
 use congest::telemetry::Collector;
 
 /// Run the workload once per engine mode and return the two exports.
@@ -108,4 +108,37 @@ fn telemetry_run_matches_untelemetered_run() {
     assert_eq!(plain.stats, telem.stats);
     assert_eq!(col.cursor(), plain.stats.rounds as u64);
     assert_eq!(col.counter("engine.bits"), plain.stats.total_bits);
+}
+
+#[test]
+fn consecutive_runs_are_stamped_after_each_other() {
+    // One collector, two engine runs with a recorded 5-round phase between
+    // them: run 1 owns stamps 0..r1, run 2 owns r1+5..r1+5+r2. Checked
+    // against exact values, not just across engines, so a stamping bug
+    // both engines share still fails.
+    const GAP: u64 = 5;
+    let g = grid(6, 5);
+    for mode in [EngineMode::Sequential, EngineMode::Parallel { threads: 3 }] {
+        let net = Network::new(&g).with_engine(mode);
+        let faulted =
+            net.clone().with_faults(FaultPlan::new(7).with_drop_rate(0.2).with_delay(0.2, 2));
+        let mut col = Collector::new();
+        let first = net.run_with(FloodProtocol::instances(g.n(), 0), &mut col).expect("run 1");
+        col.record_run("gap", &RunStats { rounds: GAP as usize, ..Default::default() });
+        let second = faulted
+            .run_with(
+                Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()),
+                &mut col,
+            )
+            .expect("run 2");
+        let (r1, r2) = (first.stats.rounds as u64, second.stats.rounds as u64);
+        assert!(r1 > 0 && r2 > 0 && second.stats.dropped > 0, "{mode:?}");
+        let stamps: Vec<u64> = col.round_samples().iter().map(|s| s.round).collect();
+        let expected: Vec<u64> = (0..r1).chain(r1 + GAP..r1 + GAP + r2).collect();
+        assert_eq!(stamps, expected, "{mode:?}");
+        assert_eq!(col.cursor(), r1 + GAP + r2, "{mode:?}");
+        let (s1, s2) = col.round_samples().split_at(r1 as usize);
+        assert_eq!(validate_trace(&first.stats, s1, net.cap_bits()), vec![], "{mode:?} run 1");
+        assert_eq!(validate_trace(&second.stats, s2, net.cap_bits()), vec![], "{mode:?} run 2");
+    }
 }
