@@ -3,7 +3,9 @@
 //!
 //! Three engine-bound workloads (token flood, repeated broadcast, BFS tree
 //! construction) across four topologies (path, grid, bounded-degree random,
-//! hub star) at n ∈ {64, 512, 4096}. `BENCH_engine.json` at the repo root
+//! hub star) at n ∈ {64, 512, 4096}. Every network runs the sequential
+//! sweep (`EngineMode::Sequential`), so each cell times the same code on
+//! any host, whatever its core count. `BENCH_engine.json` at the repo root
 //! records before/after medians for the zero-alloc routing rewrite; regen
 //! with:
 //!
@@ -14,7 +16,7 @@
 use congest::bfs::BfsTreeProtocol;
 use congest::generators::{grid, path, random_connected_m, star};
 use congest::graph::{Graph, NodeId};
-use congest::runtime::{Ctx, MessageSize, Network, NodeProtocol};
+use congest::runtime::{Ctx, EngineMode, MessageSize, Network, NodeProtocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// A one-bit token flooded outward from node 0.
@@ -109,7 +111,7 @@ fn bench_flood(c: &mut Criterion) {
         for (name, g) in topologies(n) {
             // The grid rounds n to side·rows; size protocols off the graph.
             let nn = g.n();
-            let net = Network::new(&g);
+            let net = Network::new(&g).with_engine(EngineMode::Sequential);
             group.bench_with_input(BenchmarkId::new(name, format!("n{n}")), &nn, |b, &nn| {
                 b.iter(|| net.run(flood_nodes(nn)).unwrap().stats)
             });
@@ -128,7 +130,7 @@ fn bench_broadcast(c: &mut Criterion) {
             // the default cap (4⌈log n⌉) is below the 16-bit beacon on tiny
             // n, so raise the cap uniformly.
             let nn = g.n();
-            let net = Network::new(&g).with_bandwidth(64);
+            let net = Network::new(&g).with_bandwidth(64).with_engine(EngineMode::Sequential);
             group.bench_with_input(BenchmarkId::new(name, format!("n{n}")), &nn, |b, &nn| {
                 b.iter(|| net.run(chatter_nodes(nn, CHATTER_ROUNDS)).unwrap().stats)
             });
@@ -148,7 +150,7 @@ fn bench_bfs(c: &mut Criterion) {
                 continue;
             }
             let nn = g.n();
-            let net = Network::new(&g);
+            let net = Network::new(&g).with_engine(EngineMode::Sequential);
             group.bench_with_input(BenchmarkId::new(name, format!("n{n}")), &nn, |b, &nn| {
                 b.iter(|| net.run(BfsTreeProtocol::instances(nn, 0)).unwrap().stats)
             });

@@ -371,10 +371,12 @@ impl Collector {
     /// End an instrumented engine run that measured `rounds` rounds:
     /// trailing quiet samples are truncated, so the run keeps exactly one
     /// sample per measured round, and the cursor advances, folding the
-    /// run's totals into the counters.
+    /// run's totals into the counters. Samples are stamped in ascending
+    /// order, so a binary search finds where this run's tail starts.
     pub(crate) fn finish_engine_run(&mut self, stats: &RunStats) {
         let end = self.cursor + stats.rounds as u64;
-        self.rounds.retain(|s| s.round < end);
+        let keep = self.rounds.partition_point(|s| s.round < end);
+        self.rounds.truncate(keep);
         self.cursor = end;
         self.add("engine.messages", stats.messages);
         self.add("engine.bits", stats.total_bits);

@@ -143,16 +143,25 @@ impl JohnsonWalk {
 }
 
 /// Convenience: find a collision pair among the tracked values — the
-/// distinctness check.
+/// distinctness check. Returns the smallest colliding pair `(i, j)`,
+/// `i < j`, in lexicographic order, so the witness does not depend on
+/// the tracked map's iteration order.
 pub fn collision_in(walk: &JohnsonWalk) -> Option<(usize, usize)> {
-    let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    // Per value, the smallest index seen so far. Whichever of a value's
+    // two smallest indices comes second meets the other as that minimum,
+    // so every value's smallest pair is a candidate.
+    let mut least: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut best: Option<(usize, usize)> = None;
     for (i, v) in walk.entries() {
-        if let Some(&j) = seen.get(&v) {
-            return Some((j.min(i), j.max(i)));
+        // Subset indices are distinct, so `j == i` only on first sight.
+        let j = least.entry(v).or_insert(i);
+        if *j != i {
+            let pair = ((*j).min(i), (*j).max(i));
+            best = Some(best.map_or(pair, |b| b.min(pair)));
+            *j = pair.0;
         }
-        seen.insert(v, i);
     }
-    None
+    best
 }
 
 #[cfg(test)]
@@ -224,6 +233,23 @@ mod tests {
             walk.step(&mut src, &mut rng);
         }
         panic!("pair never entered the subset in 200 steps");
+    }
+
+    #[test]
+    fn collision_check_returns_smallest_pair() {
+        // Two planted pairs and a value at three indices, all in the
+        // subset (z = k). The smallest pair is the triple's two smallest
+        // indices, whatever order the tracked map iterates in.
+        let mut data: Vec<u64> = (0..12u64).map(|i| 100 + i).collect();
+        (data[2], data[3]) = (7, 7);
+        (data[4], data[5]) = (8, 8);
+        (data[1], data[11], data[6]) = (9, 9, 9);
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut src = VecSource::new(data.clone(), 4);
+            let walk = JohnsonWalk::setup(&mut src, 12, &mut rng);
+            assert_eq!(walk.check(collision_in), Some((1, 6)), "seed {seed}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! below that the per-gate thread fan-out costs more than the scan.
 
 use crate::complex::C64;
+use crate::metrics::{self, Counter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Minimum qubit count at which [`auto_threads`] parallelizes. A `2^18`
@@ -76,15 +77,11 @@ pub fn auto_threads(n_qubits: usize) -> usize {
     }
 }
 
-/// One term of a fused diagonal sweep: multiply the amplitude of every
-/// basis state `x` with `x & mask == mask` by `factor` (a unit-modulus
-/// phase). `mask == 0` is a global phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiagTerm {
-    /// Bits that must all be 1 for the term to fire.
-    pub mask: usize,
-    /// The phase factor `e^{iθ}`.
-    pub factor: C64,
+/// Count one 2×2 pass over the state, run on `threads` workers.
+fn count_matrix_pass(threads: usize) {
+    metrics::bump(Counter::KernelLaunches, 1);
+    metrics::bump(Counter::MatrixApplies, 1);
+    metrics::bump(Counter::KernelThreads, threads as u64);
 }
 
 #[inline(always)]
@@ -115,8 +112,7 @@ pub fn apply_1q(amps: &mut [C64], q: usize, m: [[C64; 2]; 2], threads: usize) {
     let block = bit << 1;
     assert!(amps.len().is_multiple_of(block), "state too small for qubit {q}");
     let threads = threads.max(1);
-    crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
-    crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
+    count_matrix_pass(threads);
     if threads == 1 {
         apply_1q_seq(amps, bit, &m);
         return;
@@ -214,8 +210,7 @@ pub fn apply_controlled_1q(
     let count = 1usize << free;
     let threads = threads.max(1).min(count);
     // The ctrl_mask == 0 case already counted inside its apply_1q call.
-    crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
-    crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
+    count_matrix_pass(threads);
     if threads == 1 {
         for c in 0..count {
             let i = expand(c, fixed) | ctrl_mask;
@@ -257,98 +252,10 @@ pub fn apply_controlled_1q(
     });
 }
 
-/// Amplitudes per block in the blocked diagonal sweep: 2^12 · 16 B = 64 KiB,
-/// small enough to stay L1/L2-resident while the term filter runs.
-const DIAG_BLOCK: usize = 1 << 12;
-
-/// One contiguous run of whole blocks. For each block the high bits of the
-/// index are constant, so every term is classified once per block instead of
-/// once per amplitude: terms whose high mask bits are unsatisfied are dead,
-/// terms whose mask lies entirely in the high bits collapse to a scalar
-/// prefactor, and terms that reduce to the same block-local low mask merge
-/// into one. Blocks no term touches are skipped without reading their
-/// amplitudes; each surviving term is then a branch-free strided multiply
-/// over the L1-resident block — only the `block_len / 2^{popcount}`
-/// amplitudes its mask selects are visited.
-fn diag_sweep_run(run: &mut [C64], run_base: usize, terms: &[DiagTerm], block_len: usize) {
-    let low = block_len - 1;
-    let mut active: Vec<DiagTerm> = Vec::with_capacity(terms.len());
-    for (bi, block) in run.chunks_mut(block_len).enumerate() {
-        let base = run_base + bi * block_len;
-        active.clear();
-        let mut pre = C64::ONE;
-        let mut fired = false;
-        for t in terms {
-            let high = t.mask & !low;
-            if base & high != high {
-                continue;
-            }
-            let lm = t.mask & low;
-            if lm == 0 {
-                pre = pre * t.factor;
-                fired = true;
-            } else if let Some(slot) = active.iter_mut().find(|s| s.mask == lm) {
-                slot.factor = slot.factor * t.factor;
-            } else {
-                active.push(DiagTerm { mask: lm, factor: t.factor });
-            }
-        }
-        if fired {
-            for a in block.iter_mut() {
-                *a = *a * pre;
-            }
-        }
-        for t in active.iter() {
-            // Enumerate the patterns of the mask's complement in ascending
-            // order with the O(1) subset-increment; `c | mask` walks exactly
-            // the amplitudes the term fires on, no per-index test.
-            let free = low & !t.mask;
-            let f = t.factor;
-            let mut c = 0usize;
-            loop {
-                let a = &mut block[c | t.mask];
-                *a = *a * f;
-                if c == free {
-                    break;
-                }
-                c = c.wrapping_sub(free) & free;
-            }
-        }
-    }
-}
-
-/// Apply a fused run of diagonal gates in one blocked pass: each amplitude
-/// is multiplied by the product of the [`DiagTerm`] factors whose masks it
-/// satisfies. One memory sweep replaces one sweep per diagonal gate, and
-/// per-block term hoisting keeps the inner loop over the (usually tiny) set
-/// of terms that can still fire inside the block. Work is split at block
-/// boundaries, so the per-amplitude arithmetic is identical for every thread
-/// count.
-pub fn apply_diag(amps: &mut [C64], terms: &[DiagTerm], threads: usize) {
-    if terms.is_empty() {
-        return;
-    }
-    let block_len = DIAG_BLOCK.min(amps.len());
-    let blocks = amps.len() / block_len;
-    let threads = threads.max(1).min(blocks);
-    crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
-    crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
-    crate::metrics::bump(crate::metrics::Counter::DiagBlocks, blocks as u64);
-    if threads == 1 {
-        diag_sweep_run(amps, 0, terms, block_len);
-        return;
-    }
-    let per = blocks.div_ceil(threads) * block_len;
-    std::thread::scope(|s| {
-        for (t, run) in amps.chunks_mut(per).enumerate() {
-            s.spawn(move || diag_sweep_run(run, t * per, terms, block_len));
-        }
-    });
-}
-
 /// Negate the amplitude of every basis state selected by `pred` — the
 /// `f(x) ∈ {0, π}` phase oracle without any trigonometry.
 pub fn phase_flip_where<F: Fn(usize) -> bool + Sync>(amps: &mut [C64], pred: F, threads: usize) {
+    metrics::bump(Counter::DiagSweeps, 1);
     let threads = threads.max(1);
     if threads == 1 {
         for (x, a) in amps.iter_mut().enumerate() {
@@ -625,57 +532,6 @@ mod tests {
             let fast = prob_one(&amps, q, 1);
             let refr = crate::reference::prob_one(&amps, q);
             assert!((fast - refr).abs() < 1e-12, "q={q}: {fast} vs {refr}");
-        }
-    }
-
-    #[test]
-    fn diag_sweep_fires_on_masks() {
-        let mut amps = haar_ish(4, 3);
-        let orig = amps.clone();
-        let terms = [
-            DiagTerm { mask: 0b0001, factor: c64(-1.0, 0.0) },
-            DiagTerm { mask: 0b0110, factor: C64::from_polar(1.0, 0.4) },
-        ];
-        apply_diag(&mut amps, &terms, 1);
-        for x in 0..16usize {
-            let mut want = orig[x];
-            if x & 1 == 1 {
-                want = want * c64(-1.0, 0.0);
-            }
-            if x & 0b0110 == 0b0110 {
-                want = want * C64::from_polar(1.0, 0.4);
-            }
-            assert_eq!(amps[x], want, "x={x}");
-        }
-    }
-
-    #[test]
-    fn blocked_diag_matches_naive_across_block_boundaries() {
-        // 2^14 amplitudes = four DIAG_BLOCK blocks: exercises dead-term
-        // skipping, scalar prefactors (high-bit masks) and per-amplitude
-        // low-bit masks at once.
-        let mut amps = haar_ish(14, 21);
-        let orig = amps.clone();
-        let terms = [
-            DiagTerm { mask: 1 << 13, factor: C64::from_polar(1.0, 0.3) },
-            DiagTerm { mask: (1 << 12) | 0b10, factor: c64(-1.0, 0.0) },
-            DiagTerm { mask: 0b101, factor: C64::from_polar(1.0, -0.7) },
-            DiagTerm { mask: 0, factor: C64::from_polar(1.0, 0.11) },
-        ];
-        apply_diag(&mut amps, &terms, 1);
-        for x in 0..amps.len() {
-            let mut want = orig[x];
-            for t in &terms {
-                if x & t.mask == t.mask {
-                    want = want * t.factor;
-                }
-            }
-            assert!((amps[x] - want).norm_sqr() < 1e-24, "x={x}");
-        }
-        for threads in [2usize, 3, 4] {
-            let mut par = orig.clone();
-            apply_diag(&mut par, &terms, threads);
-            assert_eq!(par, amps, "threads={threads}");
         }
     }
 

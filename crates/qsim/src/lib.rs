@@ -6,7 +6,8 @@
 //! algorithms at the schedule level (crate `pquery`); this crate provides
 //! the ground truth those emulations are validated against:
 //!
-//! * [`state`] — dense statevectors, gates, measurement;
+//! * [`state`] — dense statevectors, gates, measurement: the one way to
+//!   apply a gate;
 //! * [`kernels`] — the strided, multi-threaded loops under every gate;
 //! * [`mod@reference`] — the seed's branch-per-index scans, kept as the
 //!   differential-test oracle;
@@ -36,7 +37,6 @@
 
 pub mod amplitude;
 pub mod bernstein_vazirani;
-pub mod circuit;
 pub mod complex;
 pub mod deutsch_jozsa;
 pub mod gf2;

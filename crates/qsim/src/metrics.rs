@@ -16,7 +16,7 @@
 //! metrics::reset();
 //! metrics::enable(true);
 //! let mut s = State::zero(4);
-//! qsim::qft::qft_circuit(&[0, 1, 2, 3]).fuse().apply(&mut s);
+//! qsim::qft::qft(&mut s, &[0, 1, 2, 3]);
 //! metrics::enable(false);
 //! let snap = metrics::snapshot();
 //! assert!(snap.iter().any(|&(name, v)| name == "qsim.matrix_applies" && v > 0));
@@ -25,7 +25,7 @@
 //! Counters are cumulative across threads (kernel workers bump them from
 //! inside `std::thread::scope` regions); [`reset`] zeroes them. The
 //! counts themselves are deterministic for a deterministic workload —
-//! they tally *work items* (gates, sweeps, blocks, launches), never
+//! they tally *work items* (passes, launches, threads), never
 //! timings.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,49 +34,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Gates fed into [`Circuit::fuse`](crate::circuit::Circuit::fuse).
-    FuseGatesIn,
-    /// Fused groups produced by `fuse` (≤ gates in; the ratio is the
-    /// fusion win).
-    FuseGroups,
-    /// Fused 2×2-matrix passes applied to a statevector.
+    /// 2×2 passes over a statevector ([`kernels::apply_1q`] and
+    /// [`kernels::apply_controlled_1q`]). Every kernel launch is one, so
+    /// this equals [`KernelLaunches`](Self::KernelLaunches).
+    ///
+    /// [`kernels::apply_1q`]: crate::kernels::apply_1q
+    /// [`kernels::apply_controlled_1q`]: crate::kernels::apply_controlled_1q
     MatrixApplies,
-    /// Fused diagonal sweeps applied.
+    /// Diagonal passes ([`State::apply_phase_fn`] and
+    /// [`State::phase_flip_where`]).
+    ///
+    /// [`State::apply_phase_fn`]: crate::state::State::apply_phase_fn
+    /// [`State::phase_flip_where`]: crate::state::State::phase_flip_where
     DiagSweeps,
-    /// Diagonal terms across those sweeps (terms per sweep = fusion
-    /// depth).
-    DiagTerms,
-    /// Blocks processed by the blocked diagonal kernel.
-    DiagBlocks,
-    /// Kernel entry points taken (1q, masked 1q, diagonal).
+    /// Kernel launches (single-qubit and controlled single-qubit gates).
     KernelLaunches,
     /// Worker threads summed over those launches; divide by
     /// `KernelLaunches` for mean utilization.
     KernelThreads,
 }
 
-const NAMES: [&str; 8] = [
-    "qsim.fuse_gates_in",
-    "qsim.fuse_groups",
-    "qsim.matrix_applies",
-    "qsim.diag_sweeps",
-    "qsim.diag_terms",
-    "qsim.diag_blocks",
-    "qsim.kernel_launches",
-    "qsim.kernel_threads",
-];
+const NAMES: [&str; 4] =
+    ["qsim.matrix_applies", "qsim.diag_sweeps", "qsim.kernel_launches", "qsim.kernel_threads"];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static COUNTERS: [AtomicU64; 8] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static COUNTERS: [AtomicU64; 4] =
+    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Turn metric collection on or off (off at process start).
 pub fn enable(on: bool) {
@@ -136,7 +119,7 @@ mod tests {
         assert_eq!(get(Counter::KernelLaunches), 3);
 
         let snap = snapshot();
-        assert_eq!(snap.len(), 8);
+        assert_eq!(snap.len(), 4);
         assert!(snap.contains(&("qsim.kernel_launches", 3)));
         assert!(snap.contains(&("qsim.kernel_threads", 6)));
         assert!(snap.iter().all(|(n, _)| n.starts_with("qsim.")));

@@ -1,66 +1,13 @@
 //! The quantum Fourier transform, used by phase estimation (paper §6).
 //!
-//! The transforms are built as [`Circuit`] tapes and applied through the
-//! gate-fusion pass ([`Circuit::fuse`]): each Hadamard's trailing run of
-//! controlled phases collapses into a single diagonal sweep, so an
-//! `n`-qubit QFT costs `O(n)` amplitude passes instead of `O(n²)`.
+//! Both transforms apply the textbook gates one by one through
+//! [`State`]'s methods: a Hadamard per qubit, each followed (or, for the
+//! inverse, preceded) by its controlled phases, plus the bit-reversal
+//! swaps. The largest register the experiments transform is Lemma 29's
+//! `t ≤ 10` counting qubits, so the `O(n²)` amplitude passes stay small.
 
-use crate::circuit::Circuit;
 use crate::state::State;
 use std::f64::consts::PI;
-
-/// The QFT on the given qubits as a reusable gate tape (`qubits[0]` is the
-/// least-significant bit of the transformed register).
-///
-/// # Panics
-///
-/// Panics if a qubit repeats.
-pub fn qft_circuit(qubits: &[usize]) -> Circuit {
-    check_distinct(qubits);
-    let n = qubits.len();
-    let mut c = Circuit::new(qubits.iter().max().map_or(0, |&m| m + 1));
-    // Standard circuit on a big-endian ordering, then reverse with swaps.
-    for i in (0..n).rev() {
-        c.h(qubits[i]);
-        for j in (0..i).rev() {
-            let theta = PI / (1 << (i - j)) as f64;
-            c.cphase(qubits[j], qubits[i], theta);
-        }
-    }
-    push_reversal_swaps(&mut c, qubits);
-    c
-}
-
-/// The inverse QFT on the given qubits as a reusable gate tape.
-///
-/// # Panics
-///
-/// Panics if a qubit repeats.
-pub fn iqft_circuit(qubits: &[usize]) -> Circuit {
-    check_distinct(qubits);
-    let n = qubits.len();
-    let mut c = Circuit::new(qubits.iter().max().map_or(0, |&m| m + 1));
-    push_reversal_swaps(&mut c, qubits);
-    for i in 0..n {
-        for j in 0..i {
-            let theta = -PI / (1 << (i - j)) as f64;
-            c.cphase(qubits[j], qubits[i], theta);
-        }
-        c.h(qubits[i]);
-    }
-    c
-}
-
-/// Append the bit-reversal permutation as CNOT-decomposed swaps.
-fn push_reversal_swaps(c: &mut Circuit, qubits: &[usize]) {
-    let n = qubits.len();
-    for i in 0..n / 2 {
-        let (a, b) = (qubits[i], qubits[n - 1 - i]);
-        if a != b {
-            c.cnot(a, b).cnot(b, a).cnot(a, b);
-        }
-    }
-}
 
 /// Apply the QFT to `qubits` (treated as little-endian: `qubits[0]` is the
 /// least-significant bit of the transformed register).
@@ -70,7 +17,15 @@ fn push_reversal_swaps(c: &mut Circuit, qubits: &[usize]) {
 /// Panics if a qubit repeats or is out of range.
 pub fn qft(state: &mut State, qubits: &[usize]) {
     check(state, qubits);
-    qft_circuit(qubits).apply_fused(state);
+    let n = qubits.len();
+    // Standard circuit on a big-endian ordering, then reverse with swaps.
+    for i in (0..n).rev() {
+        state.h(qubits[i]);
+        for j in (0..i).rev() {
+            state.cphase(qubits[j], qubits[i], PI / (1 << (i - j)) as f64);
+        }
+    }
+    reverse(state, qubits);
 }
 
 /// Apply the inverse QFT to `qubits`.
@@ -80,12 +35,20 @@ pub fn qft(state: &mut State, qubits: &[usize]) {
 /// Panics if a qubit repeats or is out of range.
 pub fn iqft(state: &mut State, qubits: &[usize]) {
     check(state, qubits);
-    iqft_circuit(qubits).apply_fused(state);
+    reverse(state, qubits);
+    for i in 0..qubits.len() {
+        for j in 0..i {
+            state.cphase(qubits[j], qubits[i], -PI / (1 << (i - j)) as f64);
+        }
+        state.h(qubits[i]);
+    }
 }
 
-fn check_distinct(qubits: &[usize]) {
-    for (i, &q) in qubits.iter().enumerate() {
-        assert!(!qubits[..i].contains(&q), "repeated qubit");
+/// The bit-reversal permutation as CNOT-decomposed swaps.
+fn reverse(state: &mut State, qubits: &[usize]) {
+    let n = qubits.len();
+    for i in 0..n / 2 {
+        state.swap(qubits[i], qubits[n - 1 - i]);
     }
 }
 
@@ -100,6 +63,7 @@ fn check(state: &State, qubits: &[usize]) {
 mod tests {
     use super::*;
     use crate::complex::C64;
+    use crate::reference;
     use crate::state::EPS;
 
     #[test]
@@ -153,24 +117,43 @@ mod tests {
 
     #[test]
     fn circuit_form_matches_gatewise_form() {
-        // The fused tape must agree with gate-by-gate application of the
-        // same ops (the seed's formulation).
+        // `qft`/`iqft` must be bit-identical to the same gate sequence run
+        // through the seed's branch-per-index scans.
+        let qubits = [2usize, 0, 3, 1];
+        let n = qubits.len();
         for idx in 0..16 {
-            let mut fused = State::basis(4, idx);
-            qft(&mut fused, &[0, 1, 2, 3]);
-            let mut plain = State::basis(4, idx);
-            qft_circuit(&[0, 1, 2, 3]).apply(&mut plain);
-            assert!(fused.fidelity(&plain) > 1.0 - 1e-12, "basis {idx}");
+            let mut s = State::basis(4, idx);
+            s.phase(1, 0.3);
+            let mut amps = s.amplitudes().to_vec();
+            qft(&mut s, &qubits);
+            for i in (0..n).rev() {
+                reference::h(&mut amps, qubits[i]);
+                for j in (0..i).rev() {
+                    reference::cphase(&mut amps, qubits[j], qubits[i], PI / (1 << (i - j)) as f64);
+                }
+            }
+            reference_swaps(&mut amps, &qubits);
+            assert_eq!(s.amplitudes(), &amps[..], "qft, basis {idx}");
+
+            iqft(&mut s, &qubits);
+            reference_swaps(&mut amps, &qubits);
+            for i in 0..n {
+                for j in 0..i {
+                    reference::cphase(&mut amps, qubits[j], qubits[i], -PI / (1 << (i - j)) as f64);
+                }
+                reference::h(&mut amps, qubits[i]);
+            }
+            assert_eq!(s.amplitudes(), &amps[..], "iqft, basis {idx}");
         }
     }
 
-    #[test]
-    fn fused_qft_collapses_phase_runs() {
-        // 6 qubits: 6 H + 15 CPhase + 9 swap-CNOTs = 30 gates; fused:
-        // every H is one matrix, each inter-H phase run is one sweep, and
-        // the 9 trailing CNOTs stay single → 6 + 5 + 9 = 20 groups.
-        let c = qft_circuit(&[0, 1, 2, 3, 4, 5]);
-        assert_eq!(c.len(), 30);
-        assert_eq!(c.fuse().len(), 20);
+    fn reference_swaps(amps: &mut [C64], qubits: &[usize]) {
+        let n = qubits.len();
+        for i in 0..n / 2 {
+            let (a, b) = (qubits[i], qubits[n - 1 - i]);
+            reference::cnot(amps, a, b);
+            reference::cnot(amps, b, a);
+            reference::cnot(amps, a, b);
+        }
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::complex::{c64, C64};
 use crate::kernels;
+use crate::metrics;
 use rand::Rng;
 
 /// Numerical tolerance for normalization checks.
@@ -123,43 +124,11 @@ impl State {
         kernels::apply_1q(&mut self.amps, q, m, kernels::auto_threads(self.n));
     }
 
-    /// [`apply_controlled_1q`](Self::apply_controlled_1q) with the control
-    /// set given as a bit mask — the form the fused circuit tapes use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` or a mask bit is out of range, or the mask contains
-    /// the target.
-    pub fn apply_masked_1q(&mut self, ctrl_mask: usize, q: usize, m: [[C64; 2]; 2]) {
-        assert!(q < self.n, "target out of range");
-        assert!(ctrl_mask >> self.n == 0, "control out of range");
-        assert!(ctrl_mask & (1 << q) == 0, "target cannot be its own control");
-        kernels::apply_controlled_1q(
-            &mut self.amps,
-            ctrl_mask,
-            q,
-            m,
-            kernels::auto_threads(self.n),
-        );
-    }
-
-    /// Apply a fused run of diagonal gates in one amplitude sweep (see
-    /// [`kernels::apply_diag`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a term's mask addresses qubits outside the state.
-    pub fn apply_diag_terms(&mut self, terms: &[kernels::DiagTerm]) {
-        for t in terms {
-            assert!(t.mask >> self.n == 0, "diagonal term out of range");
-        }
-        kernels::apply_diag(&mut self.amps, terms, kernels::auto_threads(self.n));
-    }
-
     /// Multiply the amplitude of every basis state `x` by `e^{i·f(x)}` — an
     /// arbitrary diagonal unitary. Phase oracles are the `f(x) ∈ {0, π}`
     /// case.
     pub fn apply_phase_fn<F: Fn(usize) -> f64>(&mut self, f: F) {
+        metrics::bump(metrics::Counter::DiagSweeps, 1);
         for (x, a) in self.amps.iter_mut().enumerate() {
             let phi = f(x);
             if phi != 0.0 {

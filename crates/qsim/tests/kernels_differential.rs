@@ -1,7 +1,6 @@
-//! Differential tests: the strided kernels ([`qsim::kernels`]) and the
-//! gate-fusion pass ([`qsim::circuit::Circuit::fuse`]) against the seed's
-//! branch-per-index scans ([`qsim::reference`]), over random circuits on the
-//! full gate set, at 1, 2 and 4 threads.
+//! Differential tests: the strided kernels ([`qsim::kernels`]) against the
+//! seed's branch-per-index scans ([`qsim::reference`]), over random
+//! circuits on the full gate set, at 1, 2 and 4 threads.
 //!
 //! Two distinct claims are checked:
 //!
@@ -12,9 +11,8 @@
 //!   counts, including the chunked reductions (`norm_sqr`, `prob_one`).
 
 use proptest::prelude::*;
-use qsim::circuit::Circuit;
 use qsim::complex::{c64, C64};
-use qsim::kernels::{self, DiagTerm};
+use qsim::kernels;
 use qsim::reference;
 use qsim::state::State;
 use rand::rngs::StdRng;
@@ -22,7 +20,7 @@ use rand::SeedableRng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// The full gate set the fusion pass understands.
+/// The full gate set of [`State`].
 #[derive(Debug, Clone)]
 enum Gate {
     H(usize),
@@ -98,11 +96,10 @@ fn apply_fast(amps: &mut [C64], g: &Gate, threads: usize) {
         }
         Gate::Mcx(cs, t) => kernels::apply_controlled_1q(amps, mask_of(cs), *t, mat_x(), threads),
         Gate::Mcz(cs, t) => kernels::apply_controlled_1q(amps, mask_of(cs), *t, mat_z(), threads),
-        Gate::GlobalPhase(th) => kernels::apply_diag(
-            amps,
-            &[DiagTerm { mask: 0, factor: C64::from_polar(1.0, *th) }],
-            threads,
-        ),
+        Gate::GlobalPhase(th) => {
+            let f = C64::from_polar(1.0, *th);
+            kernels::apply_1q(amps, 0, [[f, C64::ZERO], [C64::ZERO, f]], threads)
+        }
     }
 }
 
@@ -121,19 +118,19 @@ fn apply_ref(amps: &mut [C64], g: &Gate) {
     }
 }
 
-/// Push one gate onto a [`Circuit`] tape.
-fn push_gate(c: &mut Circuit, g: &Gate) {
+/// Apply one gate through [`State`]'s gate methods.
+fn apply_state(s: &mut State, g: &Gate) {
     match g {
-        Gate::H(q) => c.h(*q),
-        Gate::X(q) => c.x(*q),
-        Gate::Z(q) => c.z(*q),
-        Gate::Phase(q, th) => c.phase(*q, *th),
-        Gate::Cnot(cq, t) => c.cnot(*cq, *t),
-        Gate::CPhase(cq, t, th) => c.cphase(*cq, *t, *th),
-        Gate::Mcx(cs, t) => c.mcx(cs.clone(), *t),
-        Gate::Mcz(cs, t) => c.mcz(cs.clone(), *t),
-        Gate::GlobalPhase(th) => c.global_phase(*th),
-    };
+        Gate::H(q) => s.h(*q),
+        Gate::X(q) => s.x(*q),
+        Gate::Z(q) => s.z(*q),
+        Gate::Phase(q, th) => s.phase(*q, *th),
+        Gate::Cnot(c, t) => s.cnot(*c, *t),
+        Gate::CPhase(c, t, th) => s.cphase(*c, *t, *th),
+        Gate::Mcx(cs, t) => s.mcx(cs, *t),
+        Gate::Mcz(cs, t) => s.mcz(cs, *t),
+        Gate::GlobalPhase(th) => s.apply_phase_fn(|_| *th),
+    }
 }
 
 /// A reproducible, richly-structured amplitude vector (not normalized —
@@ -225,31 +222,6 @@ proptest! {
         }
     }
 
-    /// The fused tape agrees with gate-by-gate application and never has
-    /// more groups than the original has gates.
-    #[test]
-    fn fused_tape_matches_unfused(
-        n in 2usize..=8,
-        picks in proptest::collection::vec(0usize..9, 1..40),
-    ) {
-        let tape = build_tape(n, &picks);
-        let mut circuit = Circuit::new(n);
-        for g in &tape {
-            push_gate(&mut circuit, g);
-        }
-        let fused = circuit.fuse();
-        prop_assert!(fused.len() <= circuit.len());
-
-        let mut a = State::zero(n);
-        a.h_all(0..n);
-        circuit.apply(&mut a);
-        let mut b = State::zero(n);
-        b.h_all(0..n);
-        fused.apply(&mut b);
-        let f = a.fidelity(&b);
-        prop_assert!(f > 1.0 - 1e-12, "fused/unfused fidelity {f}");
-    }
-
     /// `State::sampler` (cumulative table + binary search) reproduces the
     /// seed's linear-scan sampler outcome-for-outcome on the same RNG
     /// stream.
@@ -262,11 +234,9 @@ proptest! {
         let tape = build_tape(n, &picks);
         let mut s = State::zero(n);
         s.h_all(0..n);
-        let mut circuit = Circuit::new(n);
         for g in &tape {
-            push_gate(&mut circuit, g);
+            apply_state(&mut s, g);
         }
-        circuit.apply(&mut s);
 
         let amps: Vec<C64> = (0..1usize << n).map(|i| s.amplitude(i)).collect();
         let mut fast_rng = StdRng::seed_from_u64(seed);
